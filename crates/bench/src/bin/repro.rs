@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick] [--csv] [--jobs N] [--shards M] [--trace DIR]
+//! repro [--quick] [--csv] [--jobs N] [--trace DIR]
 //!       [--metrics DIR] [--profile DIR] [--faults PLAN] [--scale]
 //!       [artifact...]
 //! ```
@@ -13,11 +13,9 @@
 //! horizon, fewer bisection iterations) for smoke testing; `--csv`
 //! emits CSV instead of aligned text tables; `--jobs N` fans
 //! independent simulation cells across `N` worker threads (default: all
-//! cores); `--shards M` shards each single simulation across `M` worker
-//! threads under the engine's conservative time-window barrier. The two
-//! axes share one thread budget with shards taking precedence — the
-//! effective job count is `max(1, min(N, cores / M))` — and the tables
-//! are byte-identical at any `N` and `M`.
+//! cores; capped at the core count, with a notice when `N` exceeds it).
+//! Each simulation runs on one serial event loop, and the tables are
+//! byte-identical at any `N`.
 //!
 //! `--trace DIR` additionally re-runs one high-contention Fig. 8 point
 //! (Exp. 1, 16 files, DD = 1, λ = 1.1) per paper scheduler with the
@@ -40,11 +38,8 @@
 //! and writes, per scheduler, a phase-attribution profile JSON with a
 //! build-info header (`fig8_<sched>.profile.json`), a wall-clock Chrome
 //! trace of the cold phases (`fig8_<sched>.obs.chrome.json`) and a
-//! Prometheus text exposition (`fig8_<sched>.obs.prom`) into DIR. A
-//! final sharded leg profiles the same point under the
-//! conservative-window engine (`sharded.profile.json` etc.) and exits
-//! nonzero unless every shard's busy + barrier-wait residency explains
-//! ≥ 95 % of its measured wall clock. Independently of the flag, every
+//! Prometheus text exposition (`fig8_<sched>.obs.prom`) into DIR.
+//! Independently of the flag, every
 //! full repro run measures the profiled-path overhead (min-of-three
 //! interleaved passes, reports byte-compared against the plain loop)
 //! and records it as `obs_overhead_pct` in `BENCH_repro.json` — same
@@ -54,14 +49,9 @@
 //! paper artifacts, one 100-DPN, million-transaction C2PL run (Exp. 1,
 //! 2000 files, λ = 10 TPS, 10⁵ s horizon) is driven to the horizon and
 //! held to a fixed wall-clock and peak-RSS budget (see EXPERIMENTS.md).
-//! A second, sharded phase then runs the scan-heavy 100-DPN point
-//! (~10⁶ long-scan transactions) once on the serial engine and once
-//! sharded (`--shards`, default `min(4, cores)`), byte-compares the
-//! reports, and records per-phase peak RSS (`VmHWM`, reset between
-//! phases via `/proc/self/clear_refs`) plus the wall-clock speedup.
-//! The process exits nonzero when any budget is exceeded — or, on a
-//! 4-core-or-larger machine at 4+ shards, when the speedup falls below
-//! 2x — so CI can gate on it directly. Memory stays
+//! Peak RSS is `VmHWM`, reset before the run via `/proc/self/clear_refs`.
+//! The process exits nonzero when any budget is exceeded, so CI can
+//! gate on it directly. Memory stays
 //! O(DPNs + live transactions) — the streaming statistics and arena'd
 //! lifecycle state never hold per-transaction samples — which is what
 //! the RSS budget pins.
@@ -89,9 +79,7 @@
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::time::SimTime;
 use batchsched::des::Duration;
-use batchsched::experiments::{
-    default_jobs, run_artifact_with, scan_heavy_point, ExpOptions, ARTIFACT_IDS,
-};
+use batchsched::experiments::{default_jobs, run_artifact_with, ExpOptions, ARTIFACT_IDS};
 use batchsched::fault::FaultPlan;
 use batchsched::metrics::JsonObj;
 use batchsched::parallel::{resolve_thread_budget, ExecCtx};
@@ -105,17 +93,14 @@ use std::time::Instant;
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: repro [--quick] [--csv] [--jobs N] [--shards M] [--trace DIR] [--metrics DIR] \
+        "usage: repro [--quick] [--csv] [--jobs N] [--trace DIR] [--metrics DIR] \
          [--profile DIR] [--faults PLAN] [--scale] [artifact...]\n\
          \n\
-         --jobs N    fan independent simulation cells across N worker threads\n\
-         --shards M  shard each single simulation across M worker threads\n\
+         --jobs N  fan independent simulation cells across N worker threads\n\
          \n\
-         Both axes draw on one thread budget (the machine's available\n\
-         parallelism). Shards take precedence: a sharded point needs all M\n\
-         threads at once, so the effective job count is\n\
-         max(1, min(N, cores / M)). Defaults: N = cores, M = 1. Results are\n\
-         byte-identical at any N and M."
+         N defaults to the machine's available parallelism and is capped\n\
+         at it. Each simulation runs on one serial event loop; results are\n\
+         byte-identical at any N."
     );
     std::process::exit(2);
 }
@@ -232,12 +217,6 @@ const SCALE_WALL_BUDGET_SECS: f64 = 120.0;
 /// arena slots, an unbounded event list) hits hundreds of MiB.
 const SCALE_RSS_BUDGET_MIB: f64 = 256.0;
 
-/// Wall-clock budget for each leg (serial reference, sharded run) of
-/// the sharded `--scale` phase. The scan-heavy point is ~10⁶
-/// transactions and ~8×10⁸ events; ~80 s serial on a current dev
-/// machine.
-const SCALE_SHARDED_WALL_BUDGET_SECS: f64 = 400.0;
-
 /// Peak resident set size of this process in MiB (`VmHWM` from
 /// `/proc/self/status`; `None` off Linux or when unreadable).
 fn peak_rss_mib() -> Option<f64> {
@@ -248,12 +227,12 @@ fn peak_rss_mib() -> Option<f64> {
 }
 
 /// Reset the `VmHWM` peak-RSS watermark to the current RSS (writing
-/// "5" to `/proc/self/clear_refs`), so each `--scale` phase reports
-/// its own peak instead of inheriting the previous phase's. Returns
+/// "5" to `/proc/self/clear_refs`), so the `--scale` run reports its
+/// own peak instead of inheriting start-up allocations. Returns
 /// whether the reset took; off Linux (or in restricted sandboxes) the
-/// watermark keeps accumulating and per-phase peaks read high — noted
-/// on stderr, never recorded in the JSON (a machine-dependent flag
-/// would break the benchdiff gate).
+/// watermark keeps accumulating and the peak reads high — noted on
+/// stderr, never recorded in the JSON (a machine-dependent flag would
+/// break the benchdiff gate).
 fn reset_peak_rss() -> bool {
     let ok = std::fs::write("/proc/self/clear_refs", "5").is_ok();
     if !ok {
@@ -263,11 +242,9 @@ fn reset_peak_rss() -> bool {
 }
 
 /// `--scale` smoke: one 100-DPN, million-transaction run under C2PL,
-/// gated on wall clock and peak RSS, followed by a sharded-engine
-/// phase on the scan-heavy point (serial reference vs `--shards`,
-/// byte-compared, speedup and per-phase peak RSS recorded). Writes
-/// `BENCH_scale.json` and exits nonzero over budget.
-fn run_scale_smoke(shards_req: Option<usize>) -> ! {
+/// gated on wall clock and peak RSS. Writes `BENCH_scale.json` and
+/// exits nonzero over budget.
+fn run_scale_smoke() -> ! {
     // 2000 files keep C2PL comfortably stable (per-file lock
     // utilization ≈ 2.5 %): the smoke pins engine cost at scale, not
     // lock-thrashing dynamics — the paper's figures cover those.
@@ -318,51 +295,6 @@ fn run_scale_smoke(shards_req: Option<usize>) -> ! {
     eprintln!("scale smoke: step-dispatch overhead {step_overhead_pct:+.2}% vs bulk loop");
     let rss_mib = peak_rss_mib();
     let events_per_sec = report.events as f64 / wall_secs;
-
-    // Sharded phase: the scan-heavy point (~10⁶ long-scan transactions,
-    // ~8×10⁸ events — the regime where slice rotations dominate and the
-    // conservative-window engine can actually parallelize). Serial
-    // reference first, then the sharded run; reports byte-compared.
-    let shards = shards_req.unwrap_or_else(|| default_jobs().min(4)).max(1);
-    let scfg = scan_heavy_point(Duration::from_secs(5_600_000));
-    eprintln!(
-        "scale smoke (sharded): {} DPNs, {} files, λ = {} TPS, horizon {:.0}s, {shards} shard(s) on {} core(s)",
-        scfg.costs.num_nodes,
-        scfg.workload.num_files(),
-        scfg.lambda_tps,
-        scfg.horizon.as_secs_f64(),
-        default_jobs()
-    );
-    reset_peak_rss();
-    let t2 = Instant::now();
-    let shard_ref = Simulator::run(&scfg);
-    let sharded_serial_secs = t2.elapsed().as_secs_f64();
-    let sharded_serial_rss = peak_rss_mib();
-    reset_peak_rss();
-    let t3 = Instant::now();
-    let shard_run = Simulator::run_sharded(&scfg, shards);
-    let sharded_wall_secs = t3.elapsed().as_secs_f64();
-    let sharded_rss = peak_rss_mib();
-    assert_eq!(
-        shard_run, shard_ref,
-        "sharded run diverged from the serial engine"
-    );
-    let sharded_speedup = sharded_serial_secs / sharded_wall_secs;
-    eprintln!(
-        "scale smoke (sharded): {} arrived, {} committed, {} events; serial {sharded_serial_secs:.1}s, \
-         {shards}-shard {sharded_wall_secs:.1}s ({sharded_speedup:.2}x), peak RSS serial {} / sharded {}",
-        shard_ref.arrived,
-        shard_ref.completed,
-        shard_ref.events,
-        match sharded_serial_rss {
-            Some(m) => format!("{m:.0} MiB"),
-            None => "unavailable".into(),
-        },
-        match sharded_rss {
-            Some(m) => format!("{m:.0} MiB"),
-            None => "unavailable".into(),
-        }
-    );
     eprintln!(
         "scale smoke: {} arrived, {} committed, {} events in {wall_secs:.1}s \
          ({:.2}M events/s), peak RSS {}",
@@ -386,23 +318,6 @@ fn run_scale_smoke(shards_req: Option<usize>) -> ! {
     o.num("step_overhead_pct", step_overhead_pct);
     if let Some(m) = rss_mib {
         o.num("peak_rss_mib", m);
-    }
-    // Sharded-phase rows. Counts are deterministic (byte-identity) and
-    // gate exactly; wall clocks and the speedup ratio are
-    // machine-dependent and classified with slack (speedup only gates
-    // downward). The shard count itself is deliberately omitted — it
-    // follows the machine.
-    o.num("sharded_serial_secs", sharded_serial_secs);
-    o.num("sharded_wall_secs", sharded_wall_secs);
-    o.num("sharded_speedup", sharded_speedup);
-    o.int("sharded_arrived", shard_ref.arrived);
-    o.int("sharded_completed", shard_ref.completed);
-    o.int("sharded_events", shard_ref.events);
-    if let Some(m) = sharded_serial_rss {
-        o.num("sharded_serial_peak_rss_mib", m);
-    }
-    if let Some(m) = sharded_rss {
-        o.num("sharded_peak_rss_mib", m);
     }
     let json = o.finish();
     if let Err(e) = std::fs::write("BENCH_scale.json", format!("{json}\n")) {
@@ -440,53 +355,11 @@ fn run_scale_smoke(shards_req: Option<usize>) -> ! {
         eprintln!("scale smoke FAIL: step-dispatch overhead {step_overhead_pct:+.2}% > +2% budget");
         failed = true;
     }
-    if shard_ref.arrived < 900_000 {
-        eprintln!(
-            "scale smoke FAIL: sharded phase saw only {} arrivals (expected ≈ 1e6)",
-            shard_ref.arrived
-        );
-        failed = true;
-    }
-    for (leg, secs) in [
-        ("serial reference", sharded_serial_secs),
-        ("sharded run", sharded_wall_secs),
-    ] {
-        if secs > SCALE_SHARDED_WALL_BUDGET_SECS {
-            eprintln!(
-                "scale smoke FAIL: sharded-phase {leg} {secs:.1}s wall > \
-                 {SCALE_SHARDED_WALL_BUDGET_SECS:.0}s budget"
-            );
-            failed = true;
-        }
-    }
-    if let Some(m) = sharded_rss {
-        if m > SCALE_RSS_BUDGET_MIB {
-            eprintln!(
-                "scale smoke FAIL: sharded run {m:.0} MiB peak RSS > \
-                 {SCALE_RSS_BUDGET_MIB:.0} MiB budget"
-            );
-            failed = true;
-        }
-    }
-    // The ≥ 2x speedup bar only applies where it is physically
-    // attainable: a full 4-shard budget actually backed by 4+ cores.
-    // Smaller machines still run the whole phase (byte-identity, RSS
-    // and wall budgets all gate); benchdiff gates the recorded speedup
-    // against the committed baseline everywhere.
-    if shards >= 4 && default_jobs() >= 4 && sharded_speedup < 2.0 {
-        eprintln!(
-            "scale smoke FAIL: {shards}-shard speedup {sharded_speedup:.2}x < 2x on a \
-             {}-core machine",
-            default_jobs()
-        );
-        failed = true;
-    }
     if failed {
         std::process::exit(1);
     }
     eprintln!(
-        "scale smoke OK (≤ {SCALE_WALL_BUDGET_SECS:.0}s wall, ≤ {SCALE_RSS_BUDGET_MIB:.0} MiB RSS, \
-         sharded legs ≤ {SCALE_SHARDED_WALL_BUDGET_SECS:.0}s)"
+        "scale smoke OK (≤ {SCALE_WALL_BUDGET_SECS:.0}s wall, ≤ {SCALE_RSS_BUDGET_MIB:.0} MiB RSS)"
     );
     std::process::exit(0);
 }
@@ -671,11 +544,8 @@ fn write_metrics_exports(dir: &str, opts: &ExpOptions) {
 
 /// Run the profiled Fig. 8 point for every paper scheduler and write
 /// the phase-attribution profile JSON, the wall-clock Chrome trace, and
-/// the Prometheus exposition into `dir`. A final sharded leg profiles
-/// the same point under the conservative-window engine and exits
-/// nonzero unless every shard's busy + barrier-wait residency explains
-/// ≥ 95 % of its measured wall clock.
-fn write_profile_exports(dir: &str, opts: &ExpOptions, shards_req: Option<usize>) {
+/// the Prometheus exposition into `dir`.
+fn write_profile_exports(dir: &str, opts: &ExpOptions) {
     use batchsched::engine::Engine;
     use batchsched::obs::Profiler;
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -729,46 +599,6 @@ fn write_profile_exports(dir: &str, opts: &ExpOptions, shards_req: Option<usize>
                 share * 100.0
             ),
             None => eprintln!("[profile {label}: {} committed -> {json_path}]", report.completed),
-        }
-    }
-    // Sharded leg: the same point under the conservative-window engine.
-    // Byte-identity against the serial reference plus the attribution
-    // gate: per shard, measured busy + barrier-wait must explain ≥ 95 %
-    // of that shard's wall clock, or the phase accounting has a hole.
-    let shards = shards_req.unwrap_or_else(|| default_jobs().min(4)).max(2);
-    let cfg = traced_point(SchedulerKind::C2pl, opts);
-    let serial = Simulator::run(&cfg);
-    let mut engine = Engine::new(&cfg);
-    engine.set_profiler(Profiler::on());
-    engine.run_to_horizon_sharded(shards);
-    assert_eq!(
-        engine.report().to_json(),
-        serial.to_json(),
-        "profiled sharded run diverged from the serial engine"
-    );
-    if let Some(reason) = engine.shard_fallback_reason() {
-        eprintln!("profile FAIL: sharded leg fell back to serial ({reason})");
-        std::process::exit(1);
-    }
-    let prof = engine.take_profile().expect("profiler was installed");
-    export("sharded", &serial.scheduler, &prof);
-    match prof.min_attribution() {
-        Some(a) if a >= 0.95 => eprintln!(
-            "[profile sharded: {} window(s), {} shard(s), min attribution {:.1}%]",
-            prof.windows,
-            prof.shards.len(),
-            a * 100.0
-        ),
-        other => {
-            eprintln!(
-                "profile FAIL: sharded busy+wait attribution {} < 95% over {} shard(s)",
-                match other {
-                    Some(a) => format!("{:.1}%", a * 100.0),
-                    None => "unavailable".into(),
-                },
-                prof.shards.len()
-            );
-            std::process::exit(1);
         }
     }
 }
@@ -1030,7 +860,6 @@ fn main() {
     let csv = args.iter().any(|a| a == "--csv");
     let scale = args.iter().any(|a| a == "--scale");
     let mut jobs_req: Option<usize> = None;
-    let mut shards_req: Option<usize> = None;
     let mut trace_dir: Option<String> = None;
     let mut metrics_dir: Option<String> = None;
     let mut profile_dir: Option<String> = None;
@@ -1073,35 +902,21 @@ fn main() {
                 }
                 jobs_req = Some(n);
             }
-            "--shards" => {
-                let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    usage_exit("--shards requires a positive integer");
-                };
-                if n == 0 {
-                    usage_exit("--shards requires a positive integer");
-                }
-                shards_req = Some(n);
-            }
             other if other.starts_with("--") => {
                 usage_exit(&format!("unknown flag '{other}'"));
             }
             other => ids.push(other.to_string()),
         }
     }
-    // One thread budget covers both parallelism axes: `shards` threads
-    // per simulation × `jobs` concurrent simulations, shards taking
-    // precedence (see `resolve_thread_budget`).
-    let (jobs, shards) = resolve_thread_budget(jobs_req, shards_req, default_jobs());
-    if jobs_req.unwrap_or(1) * shards_req.unwrap_or(1) > default_jobs() {
+    let jobs = resolve_thread_budget(jobs_req, default_jobs());
+    if let Some(req) = jobs_req.filter(|&n| n > jobs) {
         eprintln!(
-            "repro: thread budget {} < --jobs {} x --shards {}: running {jobs} job(s) x {shards} shard(s)",
-            default_jobs(),
-            jobs_req.unwrap_or(1),
-            shards_req.unwrap_or(1),
+            "repro: --jobs {req} exceeds the thread budget of {} core(s): running {jobs} job(s)",
+            default_jobs()
         );
     }
     if scale {
-        run_scale_smoke(shards_req);
+        run_scale_smoke();
     }
     if ids.is_empty() {
         ids = ARTIFACT_IDS.iter().map(|s| s.to_string()).collect();
@@ -1133,16 +948,15 @@ fn main() {
         return;
     }
     eprintln!(
-        "repro: {} artifact(s), horizon {:.0}s, {} bisection iterations, {} job(s), {} shard(s)",
+        "repro: {} artifact(s), horizon {:.0}s, {} bisection iterations, {} job(s)",
         ids.len(),
         opts.horizon.as_secs_f64(),
         opts.bisect_iters,
-        opts.jobs,
-        shards
+        opts.jobs
     );
     // One context for the whole run: artifacts share the point cache, so
     // e.g. fig10 assembles entirely from table3's grid.
-    let ctx = ExecCtx::new(opts.jobs).with_shards(shards);
+    let ctx = ExecCtx::new(opts.jobs);
     let t_all = Instant::now();
     let mut timings: Vec<String> = Vec::new();
     for id in &ids {
@@ -1180,7 +994,7 @@ fn main() {
         write_metrics_exports(dir, &opts);
     }
     if let Some(dir) = &profile_dir {
-        write_profile_exports(dir, &opts, shards_req);
+        write_profile_exports(dir, &opts);
     }
     let mut bench = JsonObj::new();
     bench.str("bin", "repro");

@@ -93,14 +93,14 @@ impl ExpOptions {
     }
 }
 
-/// The scan-heavy 100-DPN point used by the sharded `--scale` leg and
-/// `examples/shard_speedup.rs`: one long exclusive scan of 400 objects
-/// declustered over two nodes, λ at ≈ 72 % of the machine's capacity
-/// (0.25 TPS). Long scans make slice rotations — the work the sharded
-/// engine parallelizes — dominate the event mix (≈ 800 rotations per
-/// transaction against a handful of CN events), which is exactly the
-/// regime the ROADMAP's 100–1000-DPN runs live in. `horizon` sets the
-/// run length: ~0.18 transactions arrive per second of simulated time.
+/// The scan-heavy 100-DPN point behind perfbench's `scan` workload:
+/// one long exclusive scan of 400 objects declustered over two nodes,
+/// λ at ≈ 72 % of the machine's capacity (0.25 TPS). Long scans make DPN
+/// slice rotations dominate the event mix (≈ 800 rotations per
+/// transaction against a handful of CN events), so the run stresses the
+/// event queue and the DPN model rather than the scheduler. `horizon`
+/// sets the run length: ~0.18 transactions arrive per second of
+/// simulated time.
 pub fn scan_heavy_point(horizon: Duration) -> SimConfig {
     use bds_workload::pattern::{Pattern, StepTemplate};
     use bds_workload::spec::{Access, LockMode};

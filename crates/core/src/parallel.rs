@@ -77,14 +77,6 @@ impl PointCache {
     /// Return the memoized report for `cfg`, simulating it first if this
     /// is the first request for its [`SimConfig::cache_key`].
     pub fn get_or_run(&self, cfg: &SimConfig) -> Arc<SimReport> {
-        self.get_or_run_sharded(cfg, 1)
-    }
-
-    /// [`PointCache::get_or_run`], simulating misses with `shards`
-    /// worker shards ([`Simulator::run_sharded`]). The cache key is
-    /// unchanged: sharding is byte-identical, so a point simulated at
-    /// any shard count serves requests at every other.
-    pub fn get_or_run_sharded(&self, cfg: &SimConfig, shards: usize) -> Arc<SimReport> {
         let key = cfg.cache_key();
         {
             let mut map = self.map.lock().unwrap();
@@ -109,11 +101,7 @@ impl PointCache {
             key: &key,
             armed: true,
         };
-        let report = Arc::new(if shards > 1 {
-            Simulator::run_sharded(cfg, shards)
-        } else {
-            Simulator::run(cfg)
-        });
+        let report = Arc::new(Simulator::run(cfg));
         guard.armed = false;
         drop(guard);
         self.runs.fetch_add(1, Ordering::Relaxed);
@@ -150,7 +138,6 @@ impl PointCache {
 /// later artifacts reuse every point earlier ones simulated.
 pub struct ExecCtx {
     jobs: usize,
-    shards: usize,
     cache: PointCache,
 }
 
@@ -160,7 +147,6 @@ impl ExecCtx {
     pub fn new(jobs: usize) -> Self {
         ExecCtx {
             jobs: jobs.max(1),
-            shards: 1,
             cache: PointCache::new(),
         }
     }
@@ -170,24 +156,9 @@ impl ExecCtx {
         Self::new(1)
     }
 
-    /// Run each simulation point sharded across `shards` worker threads
-    /// (clamped to a minimum of 1). Reports are byte-identical at every
-    /// shard count, so this composes freely with the point cache. The
-    /// caller is responsible for the combined thread budget — see
-    /// [`resolve_thread_budget`].
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Worker-thread count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Per-point shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The shared point cache.
@@ -197,7 +168,7 @@ impl ExecCtx {
 
     /// Run one point through the memo table.
     pub fn run_point(&self, cfg: &SimConfig) -> Arc<SimReport> {
-        self.cache.get_or_run_sharded(cfg, self.shards)
+        self.cache.get_or_run(cfg)
     }
 
     /// Map `work` over `items` on this context's worker pool, returning
@@ -213,26 +184,12 @@ impl ExecCtx {
     }
 }
 
-/// Resolve the `(jobs, shards)` pair against a machine's thread budget
-/// so `jobs × shards` never oversubscribes `available` cores.
-///
-/// Precedence: **shards win**. A point sharded across `S` threads needs
-/// all `S` at once, so the requested shard count is kept (clamped to a
-/// minimum of 1) and the job fan-out is cut to fit:
-/// `jobs = max(1, min(requested_jobs, available / shards))`.
-///
-/// `None` requests take defaults — `jobs = available`, `shards = 1` —
-/// and are then subject to the same cap, so `--shards 4` alone on an
-/// 8-core box resolves to `(2, 4)`, not `(8, 4)`.
-pub fn resolve_thread_budget(
-    jobs: Option<usize>,
-    shards: Option<usize>,
-    available: usize,
-) -> (usize, usize) {
+/// Resolve a requested job count against a machine's core budget:
+/// `min(requested, available)`, defaulting to `available` and clamped
+/// to at least 1, so `--jobs` never oversubscribes the cores.
+pub fn resolve_thread_budget(jobs: Option<usize>, available: usize) -> usize {
     let available = available.max(1);
-    let shards = shards.unwrap_or(1).max(1);
-    let jobs = jobs.unwrap_or(available).max(1);
-    (jobs.min((available / shards).max(1)), shards)
+    jobs.unwrap_or(available).clamp(1, available)
 }
 
 /// Order-preserving parallel map over a slice with a bounded worker
@@ -334,30 +291,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_context_matches_serial_context() {
-        let serial = ExecCtx::serial();
-        let sharded = ExecCtx::new(1).with_shards(4);
-        let cfg = tiny().with_lambda(0.7);
-        assert_eq!(*serial.run_point(&cfg), *sharded.run_point(&cfg));
-        assert_eq!(sharded.shards(), 4);
-    }
-
-    #[test]
-    fn thread_budget_shards_take_precedence() {
-        // Explicit pair on an 8-core box: shards kept, jobs cut.
-        assert_eq!(resolve_thread_budget(Some(8), Some(4), 8), (2, 4));
-        // Defaults: all cores to jobs, serial points.
-        assert_eq!(resolve_thread_budget(None, None, 8), (8, 1));
-        // Shards alone caps the default job fan-out.
-        assert_eq!(resolve_thread_budget(None, Some(4), 8), (2, 4));
-        // Oversized shard request still gets at least one job.
-        assert_eq!(resolve_thread_budget(Some(4), Some(16), 8), (1, 16));
-        // Jobs alone unchanged (historical --jobs behavior).
-        assert_eq!(resolve_thread_budget(Some(3), None, 8), (3, 1));
-        // One-core box degrades to fully serial jobs.
-        assert_eq!(resolve_thread_budget(None, Some(4), 1), (1, 4));
+    fn thread_budget_clamps_jobs_to_cores() {
+        // Oversubscription is cut to the core count.
+        assert_eq!(resolve_thread_budget(Some(8), 2), 2);
+        // Defaults to every core.
+        assert_eq!(resolve_thread_budget(None, 8), 8);
+        // Requests within budget are kept.
+        assert_eq!(resolve_thread_budget(Some(3), 8), 3);
         // Zero inputs clamp rather than panic.
-        assert_eq!(resolve_thread_budget(Some(0), Some(0), 0), (1, 1));
+        assert_eq!(resolve_thread_budget(Some(0), 0), 1);
     }
 
     #[test]

@@ -69,7 +69,6 @@ const OCC_WORDS: usize = SLOTS / 64;
 #[derive(Debug)]
 struct Entry<E> {
     at: u64,
-    seq: u64,
     event: E,
 }
 
@@ -101,7 +100,6 @@ pub struct EventQueue<E> {
     /// Cached earliest pending firing time; `None` means "recompute".
     next_cache: Cell<Option<u64>>,
     pending: usize,
-    seq: u64,
     now: SimTime,
     popped: u64,
 }
@@ -122,7 +120,6 @@ impl<E> EventQueue<E> {
             overflow: BTreeMap::new(),
             next_cache: Cell::new(None),
             pending: 0,
-            seq: 0,
             now: SimTime::ZERO,
             popped: 0,
         }
@@ -160,43 +157,13 @@ impl<E> EventQueue<E> {
             at,
             self.now
         );
-        self.seq += 1;
         self.pending += 1;
         if let Some(next) = self.next_cache.get() {
             if at.0 < next {
                 self.next_cache.set(Some(at.0));
             }
         }
-        self.place(Entry {
-            at: at.0,
-            seq: self.seq,
-            event,
-        });
-    }
-
-    /// Consume and return the next insertion sequence number without
-    /// scheduling anything. The sharded runner stamps DPN-local lane
-    /// events with reserved sequence numbers so they merge back against
-    /// wheel-resident events in exact serial `(time, seq)` order.
-    pub fn reserve_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    /// Reserve a contiguous block of `n` sequence numbers, returning the
-    /// first. Used by the sharded runner's barrier replay: one window's
-    /// worth of slice-end successors consumes exactly the block the
-    /// serial engine would have, in the same order.
-    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
-        let first = self.seq + 1;
-        self.seq += n;
-        first
-    }
-
-    /// The current value of the insertion sequence counter (the seq of
-    /// the most recently scheduled or reserved event).
-    pub fn seq_counter(&self) -> u64 {
-        self.seq
+        self.place(Entry { at: at.0, event });
     }
 
     /// Schedule `event` after a delay from the current clock.
@@ -212,14 +179,6 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event and advance the clock to its firing time.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.pop_keyed().map(|(s, _)| s)
-    }
-
-    /// Pop the earliest event, also returning its insertion sequence
-    /// number. The seq totally orders events sharing a firing time; the
-    /// sharded runner compares it against lane stamps to interleave
-    /// wheel-resident and DPN-local events in exact serial order.
-    pub fn pop_keyed(&mut self) -> Option<(Scheduled<E>, u64)> {
         let t = self.next_time()?;
         let old = self.now.0;
         debug_assert!(t >= old, "event queue time went backwards");
@@ -266,13 +225,10 @@ impl<E> EventQueue<E> {
         }
         self.pending -= 1;
         self.popped += 1;
-        Some((
-            Scheduled {
-                at: SimTime(t),
-                event: entry.event,
-            },
-            entry.seq,
-        ))
+        Some(Scheduled {
+            at: SimTime(t),
+            event: entry.event,
+        })
     }
 
     /// Firing time of the earliest pending event.
@@ -318,44 +274,17 @@ impl<E> EventQueue<E> {
     where
         E: Clone,
     {
-        self.snapshot_entries_seq()
-            .into_iter()
-            .map(|(_, s)| s)
-            .collect()
-    }
-
-    /// All pending events with their insertion sequence numbers, in pop
-    /// order (sorted by `(at, seq)`). The queue is left untouched. The
-    /// sharded runner uses this to split slice-end events into per-DPN
-    /// lanes while keeping their exact serial positions.
-    pub fn snapshot_entries_seq(&self) -> Vec<(u64, Scheduled<E>)>
-    where
-        E: Clone,
-    {
-        let mut out: Vec<(u64, Scheduled<E>)> = Vec::with_capacity(self.pending);
-        for slot in &self.slots {
-            out.extend(slot.iter().map(|e| {
-                (
-                    e.seq,
-                    Scheduled {
-                        at: SimTime(e.at),
-                        event: e.event.clone(),
-                    },
-                )
-            }));
-        }
-        for bucket in self.overflow.values() {
-            out.extend(bucket.entries.iter().map(|e| {
-                (
-                    e.seq,
-                    Scheduled {
-                        at: SimTime(e.at),
-                        event: e.event.clone(),
-                    },
-                )
-            }));
-        }
-        out.sort_by_key(|(seq, s)| (s.at, *seq));
+        let mut out: Vec<Scheduled<E>> = Vec::with_capacity(self.pending);
+        let entries = self
+            .slots
+            .iter()
+            .flatten()
+            .chain(self.overflow.values().flat_map(|b| &b.entries));
+        out.extend(entries.map(|e| Scheduled {
+            at: SimTime(e.at),
+            event: e.event.clone(),
+        }));
+        out.sort_by_key(|s| s.at);
         debug_assert_eq!(out.len(), self.pending);
         out
     }
@@ -380,59 +309,12 @@ impl<E> EventQueue<E> {
                 prev
             );
             prev = s.at;
-            q.seq += 1;
             q.pending += 1;
             q.place(Entry {
                 at: s.at.0,
-                seq: q.seq,
                 event: s.event,
             });
         }
-        q
-    }
-
-    /// Rebuild a queue preserving the original insertion sequence
-    /// numbers. `entries` must be sorted by `(at, seq)` (pop order) and
-    /// `next_seq` must be at least every entry's seq; the rebuilt queue
-    /// continues allocating sequence numbers from `next_seq`. The
-    /// sharded runner uses this at setup (to lift slice-end events out
-    /// of the wheel into lanes) and at teardown (to merge them back), so
-    /// a run that was sharded mid-way is indistinguishable from one that
-    /// never was.
-    ///
-    /// # Panics
-    /// Panics if `entries` is out of `(at, seq)` order, schedules in the
-    /// past relative to `now`, or carries a seq beyond `next_seq`.
-    pub fn from_entries_seq(
-        now: SimTime,
-        popped: u64,
-        next_seq: u64,
-        entries: Vec<(u64, Scheduled<E>)>,
-    ) -> Self {
-        let mut q = EventQueue::new();
-        q.now = now;
-        q.popped = popped;
-        let mut prev = (now, 0u64);
-        for (seq, s) in entries {
-            assert!(
-                (s.at, seq) >= prev,
-                "EventQueue::from_entries_seq: entries out of order ({:?} < {:?})",
-                (s.at, seq),
-                prev
-            );
-            assert!(
-                seq <= next_seq,
-                "EventQueue::from_entries_seq: seq {seq} beyond counter {next_seq}"
-            );
-            prev = (s.at, seq);
-            q.pending += 1;
-            q.place(Entry {
-                at: s.at.0,
-                seq,
-                event: s.event,
-            });
-        }
-        q.seq = next_seq;
         q
     }
 
@@ -625,62 +507,6 @@ mod tests {
             }
         }
         assert_eq!(r.now(), q.now());
-    }
-
-    #[test]
-    fn pop_keyed_exposes_monotone_seqs_per_instant() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(5), "a");
-        q.schedule_at(SimTime::from_millis(5), "b");
-        q.schedule_at(SimTime::from_millis(3), "c");
-        let (s1, q1) = q.pop_keyed().unwrap();
-        assert_eq!(s1.event, "c");
-        assert_eq!(q1, 3);
-        let (s2, q2) = q.pop_keyed().unwrap();
-        let (s3, q3) = q.pop_keyed().unwrap();
-        assert_eq!((s2.event, s3.event), ("a", "b"));
-        assert!(q2 < q3, "same-instant seqs must order FIFO");
-    }
-
-    #[test]
-    fn reserved_seqs_interleave_with_scheduled_ones() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_millis(5), 0);
-        let r = q.reserve_seq();
-        q.schedule_at(SimTime::from_millis(5), 1);
-        let (_, s0) = q.pop_keyed().unwrap();
-        let (_, s1) = q.pop_keyed().unwrap();
-        assert!(s0 < r && r < s1);
-        let first = q.reserve_seqs(3);
-        assert_eq!(first, r + 2);
-        assert_eq!(q.seq_counter(), r + 4);
-    }
-
-    #[test]
-    fn from_entries_seq_round_trips_with_lane_merge() {
-        // Simulate the sharded teardown: pull two same-instant entries
-        // out, hold them aside with their seqs, splice them back via
-        // from_entries_seq, and check pop order matches the original.
-        let mut q = EventQueue::new();
-        for (t, i) in [(10u64, 0), (10, 1), (10, 2), (20, 3)] {
-            q.schedule_at(SimTime::from_millis(t), i);
-        }
-        let all = q.snapshot_entries_seq();
-        let (held, kept): (Vec<_>, Vec<_>) = all.into_iter().partition(|(_, s)| s.event % 2 == 1);
-        let rebuilt =
-            EventQueue::from_entries_seq(q.now(), q.events_processed(), q.seq_counter(), kept);
-        // Merge the held entries back, as teardown does.
-        let mut merged = rebuilt.snapshot_entries_seq();
-        merged.extend(held);
-        merged.sort_by_key(|(seq, s)| (s.at, *seq));
-        let mut full = EventQueue::from_entries_seq(
-            rebuilt.now(),
-            rebuilt.events_processed(),
-            rebuilt.seq_counter(),
-            merged,
-        );
-        let order: Vec<_> = std::iter::from_fn(|| full.pop().map(|s| s.event)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
     }
 
     #[test]

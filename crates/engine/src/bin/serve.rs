@@ -6,7 +6,7 @@
 //! time; the simulation session persists across connections).
 //!
 //! ```text
-//! {"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":2000,"shards":4}
+//! {"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":2000}
 //! {"cmd":"run-until","t_ms":50000}
 //! {"cmd":"step","n":10}
 //! {"cmd":"submit","steps":[["r",3,1200.0],["w",7,600.0]]}
@@ -22,12 +22,19 @@
 //! ```
 //!
 //! Every response carries `"ok":true` or `"ok":false` plus `"error"`.
+//! Bad input is refused with `"ok":false` and leaves the session as it
+//! was: `configure` rejects unknown keys, non-integral or out-of-range
+//! integers and an `mpl` of 0. `configure` accepts `scheduler`,
+//! `workload`, `lambda`, `dd`, `horizon_s`, `seed`, `mpl`, `faults`,
+//! `metrics_dt_ms` and `profile`. The engine runs every session on one
+//! serial event loop.
+//!
 //! `watch` is the one streaming command: it advances the simulation in
 //! `interval_ms` sim-time chunks and emits one `{"watch":true,...}`
 //! NDJSON telemetry delta per chunk (engine progress, windowed
-//! commit/restart/arrival rates, host-profiler phase shares and
-//! shard/barrier stats) *before* the final `"ok"` reply, so a running
-//! simulation can be observed without stopping it.
+//! commit/restart/arrival rates and host-profiler phase shares)
+//! *before* the final `"ok"` reply, so a running simulation can be
+//! observed without stopping it.
 //! The binary uses only the standard library and the workspace's own
 //! hand-rolled JSON reader/writers — no external dependencies.
 
@@ -101,8 +108,6 @@ fn serve_stream(reader: impl BufRead, mut writer: impl Write, session: &mut Sess
 struct Session {
     cfg: Option<SimConfig>,
     engine: Option<Engine>,
-    /// Worker shards for `run`/`run-until` (1 = serial engine loop).
-    shards: usize,
 }
 
 fn err(msg: &str) -> String {
@@ -118,9 +123,41 @@ fn ok() -> JsonObj {
     o
 }
 
-fn get_u64(v: &JsonValue, key: &str) -> Option<u64> {
-    v.get(key).and_then(JsonValue::as_num).map(|n| n as u64)
+/// An optional non-negative integer field. Fractions, negatives,
+/// non-numbers and values beyond `u64` are refused, never truncated.
+fn get_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
+    let Some(raw) = v.get(key) else {
+        return Ok(None);
+    };
+    // 2^64, the first f64 above `u64::MAX`.
+    const LIMIT: f64 = 18_446_744_073_709_551_616.0;
+    match raw.as_num() {
+        Some(n) if n >= 0.0 && n.fract() == 0.0 && n < LIMIT => Ok(Some(n as u64)),
+        _ => Err(format!("{key} must be a non-negative integer below 2^64")),
+    }
 }
+
+/// [`get_u64`], additionally refusing values beyond `u32`.
+fn get_u32(v: &JsonValue, key: &str) -> Result<Option<u32>, String> {
+    get_u64(v, key)?
+        .map(|n| u32::try_from(n).map_err(|_| format!("{key} {n} exceeds {}", u32::MAX)))
+        .transpose()
+}
+
+/// The keys `configure` understands; any other key is refused.
+const CONFIGURE_KEYS: [&str; 11] = [
+    "cmd",
+    "scheduler",
+    "workload",
+    "lambda",
+    "dd",
+    "horizon_s",
+    "seed",
+    "mpl",
+    "faults",
+    "metrics_dt_ms",
+    "profile",
+];
 
 fn parse_kind(s: &str) -> Result<SchedulerKind, String> {
     Ok(match s.to_ascii_lowercase().as_str() {
@@ -151,18 +188,25 @@ fn parse_workload(s: &str) -> Result<WorkloadKind, String> {
         return Ok(WorkloadKind::Exp2);
     }
     if let Some(n) = lower.strip_prefix("exp1:") {
-        let num_files: u32 = n.parse().map_err(|_| format!("bad file count {n:?}"))?;
+        let num_files = parse_file_count(n)?;
         return Ok(WorkloadKind::Exp1 { num_files });
     }
     if let Some(rest) = lower.strip_prefix("exp3:") {
         let (n, sigma) = rest
             .split_once(':')
             .ok_or_else(|| "exp3 wants exp3:FILES:SIGMA".to_string())?;
-        let num_files: u32 = n.parse().map_err(|_| format!("bad file count {n:?}"))?;
+        let num_files = parse_file_count(n)?;
         let sigma: f64 = sigma.parse().map_err(|_| format!("bad sigma {sigma:?}"))?;
         return Ok(WorkloadKind::Exp3 { num_files, sigma });
     }
     Err(format!("unknown workload {s:?} (exp1:N | exp2 | exp3:N:S)"))
+}
+
+fn parse_file_count(n: &str) -> Result<u32, String> {
+    match n.parse() {
+        Ok(files) if files > 0 => Ok(files),
+        _ => Err(format!("bad file count {n:?}")),
+    }
 }
 
 fn effect_json(e: &Effect) -> String {
@@ -285,6 +329,17 @@ impl Session {
     }
 
     fn configure(&mut self, req: &JsonValue) -> Result<String, String> {
+        if let JsonValue::Obj(fields) = req {
+            if let Some((key, _)) = fields
+                .iter()
+                .find(|(k, _)| !CONFIGURE_KEYS.contains(&k.as_str()))
+            {
+                return Err(format!(
+                    "unknown configure key {key:?} (known: {})",
+                    CONFIGURE_KEYS[1..].join(", ")
+                ));
+            }
+        }
         let kind = match req.get("scheduler").and_then(JsonValue::as_str) {
             Some(s) => parse_kind(s)?,
             None => SchedulerKind::Gow,
@@ -300,18 +355,34 @@ impl Session {
             }
             cfg.lambda_tps = l;
         }
-        if let Some(dd) = get_u64(req, "dd") {
-            cfg.dd = dd as u32;
+        if let Some(dd) = get_u32(req, "dd")? {
+            cfg.dd = dd;
         }
-        if let Some(h) = get_u64(req, "horizon_s") {
-            cfg.horizon = Duration::from_secs(h);
+        if let Some(h) = get_u64(req, "horizon_s")? {
+            let ms = h
+                .checked_mul(1000)
+                .filter(|&ms| ms > 0)
+                .ok_or_else(|| format!("horizon_s {h} out of range"))?;
+            cfg.horizon = Duration::from_millis(ms);
         }
-        if let Some(seed) = get_u64(req, "seed") {
+        if let Some(seed) = get_u64(req, "seed")? {
             cfg.seed = seed;
         }
-        if let Some(mpl) = get_u64(req, "mpl") {
-            cfg.mpl = Some(mpl as u32);
+        if let Some(mpl) = get_u32(req, "mpl")? {
+            if mpl == 0 {
+                return Err("mpl must be positive".into());
+            }
+            cfg.mpl = Some(mpl);
         }
+        let metrics_dt = get_u64(req, "metrics_dt_ms")?;
+        if metrics_dt == Some(0) {
+            return Err("metrics_dt_ms must be positive".into());
+        }
+        let profile = match req.get("profile") {
+            None => false,
+            Some(JsonValue::Bool(b)) => *b,
+            Some(_) => return Err("profile must be true or false".into()),
+        };
         if let Some(plan) = req.get("faults").and_then(JsonValue::as_str) {
             cfg = cfg.with_faults(FaultPlan::parse(plan)?);
         }
@@ -324,24 +395,22 @@ impl Session {
         let mut engine = Engine::new(&cfg);
         engine.enable_checkpointing();
         engine.enable_effects();
-        if let Some(dt) = get_u64(req, "metrics_dt_ms") {
+        if let Some(dt) = metrics_dt {
             engine.set_metrics_interval(Duration::from_millis(dt));
         }
-        if let Some(JsonValue::Bool(true)) = req.get("profile") {
+        if profile {
             engine.set_profiler(Profiler::on());
         }
-        self.shards = get_u64(req, "shards").unwrap_or(1).max(1) as usize;
         let mut o = ok();
         o.str("scheduler", engine.label());
         o.int("horizon_ms", engine.horizon().as_millis());
-        o.int("shards", self.shards as u64);
         self.cfg = Some(cfg);
         self.engine = Some(engine);
         Ok(o.finish())
     }
 
     fn step(&mut self, req: &JsonValue) -> Result<String, String> {
-        let n = get_u64(req, "n").unwrap_or(1);
+        let n = get_u64(req, "n")?.unwrap_or(1);
         let e = self.engine()?;
         let mut effects = JsonArr::new();
         let mut processed = 0u64;
@@ -363,14 +432,9 @@ impl Session {
     }
 
     fn run_until(&mut self, req: &JsonValue) -> Result<String, String> {
-        let t = get_u64(req, "t_ms").ok_or("run-until wants t_ms")?;
-        let shards = self.shards;
+        let t = get_u64(req, "t_ms")?.ok_or("run-until wants t_ms")?;
         let e = self.engine()?;
-        let n = if shards > 1 {
-            e.run_until_sharded(SimTime::from_millis(t), shards)
-        } else {
-            e.run_until(SimTime::from_millis(t))
-        };
+        let n = e.run_until(SimTime::from_millis(t));
         let mut o = ok();
         o.int("events", n);
         o.int("now_ms", e.now().as_millis());
@@ -378,14 +442,9 @@ impl Session {
     }
 
     fn run(&mut self) -> Result<String, String> {
-        let shards = self.shards;
         let e = self.engine()?;
         let before = e.events_processed();
-        if shards > 1 {
-            e.run_to_horizon_sharded(shards);
-        } else {
-            e.run_to_horizon();
-        }
+        e.run_to_horizon();
         let mut o = ok();
         o.int("events", e.events_processed() - before);
         o.int("now_ms", e.now().as_millis());
@@ -652,7 +711,7 @@ impl Session {
     }
 
     fn trace(&mut self, req: &JsonValue) -> Result<String, String> {
-        let capacity = get_u64(req, "capacity");
+        let capacity = get_u64(req, "capacity")?;
         let dump = req
             .get("dump")
             .and_then(JsonValue::as_str)
@@ -679,7 +738,6 @@ impl Session {
     }
 
     fn status(&mut self) -> Result<String, String> {
-        let shards = self.shards;
         let e = self.engine()?;
         let mut o = ok();
         o.str("scheduler", e.label());
@@ -694,15 +752,7 @@ impl Session {
             "conserved",
             e.arrived() == e.completed() + e.killed() + e.in_flight(),
         );
-        o.int("shards", shards as u64);
         o.bool("profiler", e.profiler_enabled());
-        // Why sharded runs (if any) degraded to the serial loop — stays
-        // set for the session once tripped, so a client that configured
-        // shards>1 can see its parallelism silently went away.
-        match e.shard_fallback_reason() {
-            Some(reason) => o.str("shard_fallback", reason),
-            None => o.raw("shard_fallback", "null"),
-        }
         o.raw("build", &bds_obs::build_info_json());
         Ok(o.finish())
     }
@@ -710,22 +760,19 @@ impl Session {
     /// Advance the simulation in `interval_ms` sim-time chunks up to
     /// `t_ms` (default: the horizon), streaming one NDJSON telemetry
     /// delta per chunk to the client before the final reply. Installs
-    /// the host profiler if none is attached, so phase shares and
-    /// shard/barrier stats are included from the first delta.
+    /// the host profiler if none is attached, so phase shares are
+    /// included from the first delta.
     fn watch(&mut self, req: &JsonValue, sink: &mut dyn Write) -> Result<String, String> {
-        let shards = self.shards;
-        let e = self
-            .engine
-            .as_mut()
-            .ok_or("no session: send configure first")?;
-        let target = get_u64(req, "t_ms")
-            .unwrap_or(e.horizon().as_millis())
-            .min(e.horizon().as_millis());
-        let interval = get_u64(req, "interval_ms").unwrap_or(1_000);
+        let t_ms = get_u64(req, "t_ms")?;
+        let interval = get_u64(req, "interval_ms")?.unwrap_or(1_000);
         if interval == 0 {
             return Err("interval_ms must be positive".into());
         }
-        let max_deltas = get_u64(req, "max_deltas").unwrap_or(u64::MAX);
+        let max_deltas = get_u64(req, "max_deltas")?.unwrap_or(u64::MAX);
+        let e = self.engine()?;
+        let target = t_ms
+            .unwrap_or(e.horizon().as_millis())
+            .min(e.horizon().as_millis());
         if !e.profiler_enabled() {
             e.set_profiler(Profiler::on());
         }
@@ -738,11 +785,7 @@ impl Session {
         let mut cursor = prev.t_ms;
         while cursor < target && deltas < max_deltas {
             cursor = (cursor + interval).min(target);
-            if shards > 1 {
-                e.run_until_sharded(SimTime::from_millis(cursor), shards);
-            } else {
-                e.run_until(SimTime::from_millis(cursor));
-            }
+            e.run_until(SimTime::from_millis(cursor));
             let cur = WatchPoint::capture(e, cursor);
             deltas += 1;
             let line = watch_delta(e, &prev, &cur, deltas, started.elapsed().as_millis() as u64);
@@ -792,8 +835,7 @@ impl WatchPoint {
 }
 
 /// One `{"watch":true,...}` NDJSON line: cumulative progress, windowed
-/// per-sim-second rates, and (when the profiler is live) phase shares
-/// plus shard/barrier telemetry.
+/// per-sim-second rates, and (when the profiler is live) phase shares.
 fn watch_delta(e: &Engine, prev: &WatchPoint, cur: &WatchPoint, seq: u64, wall_ms: u64) -> String {
     let mut o = JsonObj::new();
     o.bool("watch", true);
@@ -826,16 +868,6 @@ fn watch_delta(e: &Engine, prev: &WatchPoint, cur: &WatchPoint, seq: u64, wall_m
             phases.num(label, share);
         }
         o.raw("phases", &phases.finish());
-        let mut obs = JsonObj::new();
-        obs.int("windows", prof.windows);
-        obs.int("rotations", prof.rotations);
-        obs.int("stales", prof.stales);
-        obs.int("fanout_taken", prof.fanout_taken);
-        obs.int("fanout_inline", prof.fanout_inline);
-        obs.int("shards", prof.shards.len() as u64);
-        obs.opt_num("imbalance", prof.imbalance());
-        obs.opt_num("min_attribution", prof.min_attribution());
-        o.raw("obs", &obs.finish());
     }
     o.finish()
 }

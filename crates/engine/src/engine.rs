@@ -222,17 +222,10 @@ pub(crate) struct Txn {
     pub(crate) fault_kills: u32,
 }
 
-mod shard;
-
 /// The incremental step engine (see the module docs).
 pub struct Engine {
     placement: Placement,
     events: EventQueue<Event>,
-    /// Simulated time of the last processed event. Mirrors
-    /// `events.now()` in serial runs; during a sharded run it can run
-    /// ahead of the queue clock while DPN-local slice ends (held in
-    /// shard lanes rather than the global queue) are processed.
-    clock: SimTime,
     cn: FcfsServer,
     dpns: Vec<Dpn>,
     scheduler: Box<dyn Scheduler>,
@@ -328,20 +321,10 @@ pub struct Engine {
     /// Set by [`Engine::replace_scheduler`]: a custom scheduler cannot
     /// be rebuilt from `SchedulerKind`, so checkpointing is refused.
     custom_scheduler: bool,
-    /// Live sharded-run state; `Some` only while
-    /// [`Engine::run_until_sharded`] executes. Every other entry point
-    /// sees a plain serial engine.
-    shard_rt: Option<shard::ShardRt>,
     /// Host-side wall-clock profiler. Like the tracer it lives
     /// off-config, never touches sim time or the RNG, and costs one
-    /// predictable branch per probe when off. Unlike the tracer it does
-    /// **not** force the sharded fast path back to serial — shard and
-    /// barrier telemetry is the point of it.
+    /// predictable branch per probe when off.
     obs: Profiler,
-    /// First reason a [`Engine::run_until_sharded`] call fell back to
-    /// the serial loop (tracer/sampler attached); surfaced by
-    /// `bds-serve status`.
-    shard_fallback: Option<&'static str>,
     cfg: SimConfig,
 }
 
@@ -422,7 +405,6 @@ impl Engine {
         Engine {
             placement,
             events,
-            clock: SimTime::ZERO,
             cn: FcfsServer::new(SimTime::ZERO),
             dpns: (0..cfg.costs.num_nodes).map(|_| Dpn::new()).collect(),
             scheduler: cfg.scheduler.build(&cfg.costs),
@@ -472,10 +454,8 @@ impl Engine {
             effects: None,
             oplog: None,
             obs: Profiler::Off,
-            shard_fallback: None,
             admission_hold: false,
             custom_scheduler: false,
-            shard_rt: None,
             cfg: cfg.clone(),
         }
     }
@@ -518,9 +498,8 @@ impl Engine {
         std::mem::take(&mut self.tracer).finish()
     }
 
-    /// Install a host-side profiler (replace any previous one). Unlike
-    /// the tracer/sampler this does not affect the sharded fast path —
-    /// profiled sharded runs stay byte-identical to serial.
+    /// Install a host-side profiler (replace any previous one). Like
+    /// the tracer it only observes: profiled runs stay byte-identical.
     pub fn set_profiler(&mut self, obs: Profiler) {
         self.obs = obs;
     }
@@ -542,15 +521,9 @@ impl Engine {
     }
 
     /// Snapshot the live profile without stopping collection (`None`
-    /// when off). Drives the `watch` stream's phase/shard shares.
+    /// when off). Drives the `watch` stream's phase shares.
     pub fn profile(&self) -> Option<ObsReport> {
         self.obs.report()
-    }
-
-    /// First reason a sharded run fell back to the serial loop in this
-    /// engine's lifetime (`None` if it never did).
-    pub fn shard_fallback_reason(&self) -> Option<&'static str> {
-        self.shard_fallback
     }
 
     /// Collect [`Effect`]s for [`Engine::step`] from now on. Off by
@@ -626,7 +599,6 @@ impl Engine {
             self.sample_metrics(t);
         }
         let Scheduled { event, .. } = self.events.pop().expect("peeked event vanished");
-        self.clock = t;
         self.obs.phase_end(tok);
         self.handle(event);
         Some(t)
@@ -794,7 +766,7 @@ impl Engine {
     /// Current simulated time (the timestamp of the last processed
     /// event).
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.events.now()
     }
 
     /// The active scheduler's display label.
@@ -1342,8 +1314,14 @@ impl Engine {
                 // net_delay is zero in the paper; the cohort starts now.
                 debug_assert_eq!(start_at, now);
                 let epoch = self.dpn_epoch[node.0 as usize];
-                if let Some(end) = self.with_dpn(node.0, |d| d.add_cohort(start_at, cohort)) {
-                    self.schedule_slice_end(node.0, end, epoch);
+                if let Some(end) = self.dpns[node.0 as usize].add_cohort(start_at, cohort) {
+                    self.events.schedule_at(
+                        end,
+                        Event::SliceEnd {
+                            node: node.0,
+                            epoch,
+                        },
+                    );
                 }
                 continue;
             }
@@ -1408,8 +1386,9 @@ impl Engine {
             },
         });
         let epoch = self.dpn_epoch[n as usize];
-        if let Some(end) = self.with_dpn(n, |d| d.add_cohort(now, cohort)) {
-            self.schedule_slice_end(n, end, epoch);
+        if let Some(end) = self.dpns[n as usize].add_cohort(now, cohort) {
+            self.events
+                .schedule_at(end, Event::SliceEnd { node: n, epoch });
         }
     }
 
@@ -1427,9 +1406,10 @@ impl Engine {
             return;
         }
         let now = self.now();
-        let out = self.with_dpn(node, |d| d.on_slice_end(now));
+        let out = self.dpns[node as usize].on_slice_end(now);
         if let Some(end) = out.next_slice_end {
-            self.schedule_slice_end(node, end, epoch);
+            self.events
+                .schedule_at(end, Event::SliceEnd { node, epoch });
         }
         if self.tracer.enabled() {
             // Owner lookup must precede the `finished` removal below.
@@ -1634,9 +1614,6 @@ impl Engine {
             } else {
                 self.cfg.restart_delay
             };
-            // Anchored at the engine clock, not the queue clock: during
-            // a sharded run the queue clock can lag while lane-held
-            // slice ends are processed.
             self.events.schedule_at(now + delay, Event::Restart { id });
         }
         self.wake_waiters(&released);
@@ -1666,8 +1643,8 @@ impl Engine {
                 self.node_up[n] = false;
                 self.down_since[n] = Some(now);
                 // Tombstone every slice scheduled on this node.
-                self.bump_epoch(node);
-                let lost = self.with_dpn(node, |d| d.crash(now));
+                self.dpn_epoch[n] += 1;
+                let lost = self.dpns[n].crash(now);
                 let mut victims: Vec<TxnId> = lost
                     .iter()
                     .filter_map(|cid| self.cohort_owner.remove(cid.0).map(TxnId))
@@ -1758,7 +1735,6 @@ impl Engine {
     fn arm_retry_tick(&mut self) {
         if !self.retry_tick_armed && !self.pending.is_empty() {
             self.retry_tick_armed = true;
-            // Engine clock, not queue clock (see `abort_txn`).
             let at = self.now() + self.cfg.retry_delay;
             self.events.schedule_at(at, Event::RetryTick);
         }
@@ -2012,7 +1988,6 @@ impl Engine {
                 .map(|&(at, event)| Scheduled { at, event })
                 .collect(),
         );
-        e.clock = snap.now;
         e.cn = FcfsServer::from_state(
             snap.cn_free_at,
             snap.cn_busy,

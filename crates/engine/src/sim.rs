@@ -50,17 +50,6 @@ impl Simulator {
         sim.report()
     }
 
-    /// Run to the horizon with the simulation sharded across `shards`
-    /// worker threads (conservative time-window barrier; see
-    /// [`Engine::run_until_sharded`]). The report is byte-identical to
-    /// [`Simulator::run`] for every shard count — sharding changes wall
-    /// clock, never results.
-    pub fn run_sharded(cfg: &SimConfig, shards: usize) -> SimReport {
-        let mut sim = Simulator::new(cfg);
-        sim.engine.run_to_horizon_sharded(shards);
-        sim.report()
-    }
-
     /// Run with a ring-buffer tracer of the given capacity and return
     /// both the report and the captured trace. The report is
     /// byte-identical to an untraced [`Simulator::run`] of the same

@@ -223,37 +223,91 @@ fn session_with_snapshot_swap_and_restore() {
 
 #[test]
 fn restored_session_finishes_identically() {
-    // Drive two sessions: one straight through, one snapshotted midway,
-    // swapped to a different scheduler, then restored. Their final
-    // reports must be identical text.
+    // Per config, drive two sessions: one straight through, one
+    // snapshotted between runs, run on (past a scheduler swap for the
+    // first config), then restored. Their final reports must be
+    // identical text.
     let dir = std::env::temp_dir();
     let ckpt = dir.join(format!("bds-serve-ident-{}.json", std::process::id()));
     let ckpt_str = ckpt.to_str().expect("utf-8 temp path");
-    let cfg = r#"{"cmd":"configure","scheduler":"c2pl","lambda":0.6,"horizon_s":300,"seed":11}"#;
+    let cases = [
+        (
+            r#"{"cmd":"configure","scheduler":"c2pl","lambda":0.6,"horizon_s":300,"seed":11}"#,
+            Some("wdl"),
+        ),
+        (
+            r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":17,"faults":"crash=1@60x20"}"#,
+            None,
+        ),
+    ];
+    for (cfg, swap) in cases {
+        let mut a = Serve::spawn();
+        a.send(cfg);
+        a.send(r#"{"cmd":"run"}"#);
+        let straight = a.send(r#"{"cmd":"report"}"#);
+        a.quit();
 
-    let mut a = Serve::spawn();
-    a.send(cfg);
-    a.send(r#"{"cmd":"run"}"#);
-    let straight = a.send(r#"{"cmd":"report"}"#);
-    a.quit();
+        let mut b = Serve::spawn();
+        b.send(cfg);
+        b.send(r#"{"cmd":"run-until","t_ms":90000}"#);
+        let status = b.send(r#"{"cmd":"status"}"#);
+        check_conserved(&status);
+        b.send(&format!(r#"{{"cmd":"snapshot","path":"{ckpt_str}"}}"#));
+        if let Some(kind) = swap {
+            b.send(&format!(
+                r#"{{"cmd":"swap-scheduler","scheduler":"{kind}"}}"#
+            ));
+        }
+        b.send(r#"{"cmd":"run-until","t_ms":200000}"#);
+        b.send(&format!(r#"{{"cmd":"restore","path":"{ckpt_str}"}}"#));
+        b.send(r#"{"cmd":"run"}"#);
+        let restored = b.send(r#"{"cmd":"report"}"#);
+        b.quit();
 
-    let mut b = Serve::spawn();
-    b.send(cfg);
-    b.send(r#"{"cmd":"run-until","t_ms":90000}"#);
-    b.send(&format!(r#"{{"cmd":"snapshot","path":"{ckpt_str}"}}"#));
-    b.send(r#"{"cmd":"swap-scheduler","scheduler":"wdl"}"#);
-    b.send(r#"{"cmd":"run-until","t_ms":200000}"#);
-    b.send(&format!(r#"{{"cmd":"restore","path":"{ckpt_str}"}}"#));
-    b.send(r#"{"cmd":"run"}"#);
-    let restored = b.send(r#"{"cmd":"report"}"#);
-    b.quit();
-
-    assert_eq!(
-        straight.get("report"),
-        restored.get("report"),
-        "detour through swap + restore changed the outcome"
-    );
+        assert_eq!(
+            straight.get("report"),
+            restored.get("report"),
+            "detour through snapshot + restore changed the outcome of {cfg}"
+        );
+    }
     let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn configure_refuses_bad_input_and_stays_up() {
+    let mut s = Serve::spawn();
+    s.send(r#"{"cmd":"configure","scheduler":"gow","horizon_s":60,"seed":1}"#);
+    // (request, substring the error must name)
+    let cases = [
+        (r#"{"cmd":"configure","mpl":0}"#, "mpl"),
+        (r#"{"cmd":"configure","mpl":4294967296}"#, "mpl"),
+        (r#"{"cmd":"configure","dd":4294967297}"#, "dd"),
+        (r#"{"cmd":"configure","dd":1.5}"#, "dd"),
+        (r#"{"cmd":"configure","seed":-1}"#, "seed"),
+        (r#"{"cmd":"configure","horizon_s":1e30}"#, "horizon_s"),
+        (
+            r#"{"cmd":"configure","horizon_s":18446744073709551}"#,
+            "horizon_s",
+        ),
+        (r#"{"cmd":"configure","horizon_s":0}"#, "horizon_s"),
+        (r#"{"cmd":"configure","metrics_dt_ms":0}"#, "metrics_dt_ms"),
+        (r#"{"cmd":"configure","profile":1}"#, "profile"),
+        (r#"{"cmd":"configure","workload":"exp1:0"}"#, "file count"),
+        (r#"{"cmd":"configure","bogus":1}"#, "bogus"),
+    ];
+    for (req, needle) in cases {
+        let msg = s.send_err(req);
+        assert!(
+            msg.contains(needle),
+            "{req}: error {msg:?} lacks {needle:?}"
+        );
+        // The server is still up and the refused request left the
+        // configured session untouched.
+        let status = s.send(r#"{"cmd":"status"}"#);
+        check_conserved(&status);
+        assert_eq!(num(&status, "horizon_ms"), 60_000, "after {req}");
+    }
+    s.quit();
 }
 
 #[test]
@@ -302,46 +356,6 @@ fn batch_epoch_schedulers_serve_end_to_end() {
 }
 
 #[test]
-fn sharded_session_matches_serial() {
-    // The `shards` knob changes wall-clock strategy only: a session run
-    // with worker shards must produce byte-identical reports — and keep
-    // snapshot/restore working — versus a plain serial session.
-    let dir = std::env::temp_dir();
-    let ckpt = dir.join(format!("bds-serve-shard-{}.json", std::process::id()));
-    let ckpt_str = ckpt.to_str().expect("utf-8 temp path");
-    let serial_cfg = r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":17,"faults":"crash=1@60x20"}"#;
-    let sharded_cfg = r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":17,"faults":"crash=1@60x20","shards":4}"#;
-
-    let mut a = Serve::spawn();
-    a.send(serial_cfg);
-    a.send(r#"{"cmd":"run"}"#);
-    let serial = a.send(r#"{"cmd":"report"}"#);
-    a.quit();
-
-    let mut b = Serve::spawn();
-    let r = b.send(sharded_cfg);
-    assert_eq!(num(&r, "shards"), 4);
-    b.send(r#"{"cmd":"run-until","t_ms":90000}"#);
-    let status = b.send(r#"{"cmd":"status"}"#);
-    check_conserved(&status);
-    // A snapshot taken between sharded runs restores into the same
-    // session and the remainder still matches the serial outcome.
-    b.send(&format!(r#"{{"cmd":"snapshot","path":"{ckpt_str}"}}"#));
-    b.send(r#"{"cmd":"run-until","t_ms":200000}"#);
-    b.send(&format!(r#"{{"cmd":"restore","path":"{ckpt_str}"}}"#));
-    b.send(r#"{"cmd":"run"}"#);
-    let sharded = b.send(r#"{"cmd":"report"}"#);
-    b.quit();
-
-    assert_eq!(
-        serial.get("report"),
-        sharded.get("report"),
-        "sharded session diverged from serial"
-    );
-    let _ = std::fs::remove_file(&ckpt);
-}
-
-#[test]
 fn watch_streams_live_telemetry_deltas() {
     // Reference: the same point run straight through, serial, unprofiled.
     let mut a = Serve::spawn();
@@ -350,12 +364,10 @@ fn watch_streams_live_telemetry_deltas() {
     let plain = a.send(r#"{"cmd":"report"}"#);
     a.quit();
 
-    // Watched session: sharded, advanced in 20 s chunks with one
-    // telemetry delta streamed per chunk.
+    // Watched session: advanced in 20 s chunks with one telemetry
+    // delta streamed per chunk.
     let mut s = Serve::spawn();
-    s.send(
-        r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":5,"shards":2}"#,
-    );
+    s.send(r#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":5}"#);
     let (deltas, reply) = s.send_watch(r#"{"cmd":"watch","t_ms":120000,"interval_ms":20000}"#);
     assert_eq!(num(&reply, "deltas"), deltas.len() as u64);
     assert!(deltas.len() >= 3, "wanted >=3 deltas, got {}", deltas.len());
@@ -367,29 +379,34 @@ fn watch_streams_live_telemetry_deltas() {
             .get("commits_per_s")
             .and_then(JsonValue::as_num)
             .is_some());
-        // watch auto-installs the profiler, so phase shares stream live.
-        let phases = d.get("phases").expect("phase shares");
-        assert!(phases
-            .get("event_queue")
-            .and_then(JsonValue::as_num)
-            .is_some());
-        let obs = d.get("obs").expect("shard/barrier stats");
-        assert!(obs.get("windows").and_then(JsonValue::as_num).is_some());
+        // watch auto-installs the profiler, so phase shares stream live:
+        // one share per pump phase, each in [0, 1], summing to one.
+        let Some(JsonValue::Obj(phases)) = d.get("phases") else {
+            panic!("delta {i} lacks phase shares: {d:?}");
+        };
+        let share = |label: &str| {
+            phases
+                .iter()
+                .find(|(k, _)| k == label)
+                .and_then(|(_, v)| v.as_num())
+                .unwrap_or_else(|| panic!("delta {i} lacks phase {label}: {phases:?}"))
+        };
+        for label in ["event_queue", "scheduler_decide", "cn_work"] {
+            assert!((0.0..=1.0).contains(&share(label)), "{label} share");
+        }
+        let total: f64 = phases.iter().filter_map(|(_, v)| v.as_num()).sum();
+        assert!((total - 1.0).abs() < 1e-9, "phase shares sum to {total}");
+        assert!(share("event_queue") > 0.0, "the pump's queue phase ran");
+        assert!(d.get("obs").is_none(), "only phase shares are streamed");
     }
     let last = deltas.last().expect("deltas");
     assert!(num(last, "events") > 0);
     assert!(num(last, "completed") > 0);
-    assert!(
-        num(last.get("obs").expect("obs"), "windows") > 0,
-        "sharded watch saw no barrier windows: {last:?}"
-    );
 
-    // Status is enriched with shard, profiler, fallback, and build info.
+    // Status is enriched with profiler and build info.
     let status = s.send(r#"{"cmd":"status"}"#);
     check_conserved(&status);
-    assert_eq!(num(&status, "shards"), 2);
     assert_eq!(status.get("profiler"), Some(&JsonValue::Bool(true)));
-    assert_eq!(status.get("shard_fallback"), Some(&JsonValue::Null));
     let build = status.get("build").expect("build info");
     assert_eq!(
         build.get("package").and_then(JsonValue::as_str),

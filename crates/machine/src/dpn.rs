@@ -214,28 +214,6 @@ impl Dpn {
         }
     }
 
-    /// A conservative lower bound on the node's next cohort-finish time,
-    /// as an offset from the pending slice's end (`None` when idle):
-    /// `Some(ZERO)` when the pending slice itself completes its cohort,
-    /// else the minimum residual scan time over all resident cohorts —
-    /// the node serves one cohort at a time, so no cohort can finish
-    /// before its own full residual has run after the pending slice.
-    /// The sharded runner turns this into a global synchronization
-    /// horizon: strictly before `slice_end + finish_bound` on every
-    /// node, only node-local round-robin rotations can occur.
-    pub fn finish_bound(&self) -> Option<Duration> {
-        let run = self.running.as_ref()?;
-        let after_slice = run.cohort.remaining.saturating_sub(run.slice_len);
-        if after_slice.is_zero() {
-            return Some(Duration::ZERO);
-        }
-        let mut min = after_slice;
-        for c in &self.ready {
-            min = min.min(c.remaining);
-        }
-        Some(min)
-    }
-
     /// Crash the node at `now`: every resident cohort (running and
     /// ready) is lost and its id returned so the caller can abort the
     /// owning transactions. The running slice's elapsed portion is
@@ -408,27 +386,6 @@ mod tests {
         let out2 = d.on_slice_end(out.next_slice_end.unwrap());
         assert_eq!(out2.ran, CohortId(1));
         assert_eq!(out2.finished, Some(CohortId(1)));
-    }
-
-    #[test]
-    fn finish_bound_is_sound_against_actual_finishes() {
-        // Idle node: no bound.
-        assert_eq!(Dpn::new().finish_bound(), None);
-        // Pending slice finishes its cohort: bound is zero.
-        let mut d = Dpn::new();
-        d.add_cohort(SimTime::ZERO, cohort(1, 800, 1000)).unwrap();
-        assert_eq!(d.finish_bound(), Some(Duration::ZERO));
-        // Two long cohorts: nothing can finish before the shorter
-        // residual has fully run after the pending slice.
-        let mut d = Dpn::new();
-        let first = d.add_cohort(SimTime::ZERO, cohort(1, 5000, 1000)).unwrap();
-        d.add_cohort(SimTime::ZERO, cohort(2, 3000, 1000));
-        let bound = first + d.finish_bound().unwrap();
-        let fin = drain(&mut d, Some(first));
-        assert!(
-            fin.iter().all(|&(_, t)| t >= bound),
-            "finish {fin:?} before bound {bound:?}"
-        );
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub mod placement;
 
 pub use costs::CostBook;
 pub use dpn::{Cohort, CohortId, Dpn};
-pub use placement::{NodeId, Placement, ShardMap};
+pub use placement::{NodeId, Placement};

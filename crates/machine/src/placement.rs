@@ -71,114 +71,12 @@ impl Placement {
     }
 }
 
-/// DPN → worker-shard mapping for the sharded execution mode:
-/// contiguous, near-equal ranges of node ids, so each shard owns a
-/// cache-friendly block and the map is two integer ops per lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardMap {
-    num_nodes: u32,
-    shards: u32,
-    /// `starts[s]` is the first node of shard `s`; `starts[shards]` is
-    /// `num_nodes` (sentinel).
-    starts: Vec<u32>,
-}
-
-impl ShardMap {
-    /// Partition `num_nodes` DPNs into `shards` contiguous ranges. The
-    /// shard count is clamped to `1..=num_nodes`, so asking for more
-    /// shards than nodes degrades gracefully instead of panicking.
-    pub fn new(num_nodes: u32, shards: usize) -> Self {
-        assert!(num_nodes > 0, "need at least one node");
-        let shards = (shards.max(1) as u32).min(num_nodes);
-        let base = num_nodes / shards;
-        let extra = num_nodes % shards;
-        let mut starts = Vec::with_capacity(shards as usize + 1);
-        let mut at = 0;
-        for s in 0..shards {
-            starts.push(at);
-            at += base + u32::from(s < extra);
-        }
-        starts.push(num_nodes);
-        debug_assert_eq!(at, num_nodes);
-        ShardMap {
-            num_nodes,
-            shards,
-            starts,
-        }
-    }
-
-    /// Number of shards (after clamping).
-    pub fn shards(&self) -> usize {
-        self.shards as usize
-    }
-
-    /// Number of nodes covered.
-    pub fn num_nodes(&self) -> u32 {
-        self.num_nodes
-    }
-
-    /// The shard owning `node`.
-    pub fn shard_of(&self, node: u32) -> usize {
-        debug_assert!(node < self.num_nodes);
-        // Ranges differ in length by at most one, so the estimate
-        // `node / ceil_len` is exact or one low.
-        let s = (node as usize * self.shards as usize / self.num_nodes as usize)
-            .min(self.shards as usize - 1);
-        if node >= self.starts[s + 1] {
-            s + 1
-        } else if node < self.starts[s] {
-            s - 1
-        } else {
-            s
-        }
-    }
-
-    /// The node-id range `[start, end)` owned by shard `s`.
-    pub fn range(&self, s: usize) -> std::ops::Range<u32> {
-        self.starts[s]..self.starts[s + 1]
-    }
-
-    /// `node`'s index within its shard's range.
-    pub fn index_in_shard(&self, node: u32) -> usize {
-        (node - self.starts[self.shard_of(node)]) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn f(i: u32) -> FileId {
         FileId(i)
-    }
-
-    #[test]
-    fn shard_map_covers_all_nodes_contiguously() {
-        for (nodes, shards) in [(8u32, 1usize), (8, 3), (8, 8), (100, 4), (100, 7), (5, 16)] {
-            let m = ShardMap::new(nodes, shards);
-            assert!(m.shards() <= nodes as usize && m.shards() >= 1);
-            let mut seen = 0u32;
-            for s in 0..m.shards() {
-                let r = m.range(s);
-                assert_eq!(r.start, seen, "ranges must be contiguous");
-                assert!(!r.is_empty(), "no empty shards");
-                for n in r.clone() {
-                    assert_eq!(m.shard_of(n), s);
-                    assert_eq!(m.index_in_shard(n), (n - r.start) as usize);
-                }
-                seen = r.end;
-            }
-            assert_eq!(seen, nodes);
-        }
-    }
-
-    #[test]
-    fn shard_map_balances_within_one() {
-        let m = ShardMap::new(100, 7);
-        let sizes: Vec<u32> = (0..m.shards()).map(|s| m.range(s).len() as u32).collect();
-        let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-        assert!(max - min <= 1, "sizes {sizes:?}");
-        assert_eq!(sizes.iter().sum::<u32>(), 100);
     }
 
     #[test]

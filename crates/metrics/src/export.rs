@@ -9,7 +9,7 @@ use crate::hist::LogHistogram;
 /// Builder for the Prometheus text exposition format (version 0.0.4):
 /// `# HELP` / `# TYPE` headers plus one sample line per metric, with
 /// optional `{label="value"}` pairs. Headers are emitted once per
-/// metric name — repeated calls for the same family (per-shard or
+/// metric name — repeated calls for the same family (per-node or
 /// per-phase series) append samples under the first header, as the
 /// format requires.
 #[derive(Debug, Default)]

@@ -73,11 +73,6 @@ pub fn classify(key: &str) -> MetricClass {
         _ if key.ends_with("_mib") => MetricClass::Time { abs_floor: 32.0 },
         // Throughput (events/s, M events/s, …): higher-better, noisy.
         _ if key.contains("per_sec") => MetricClass::Rate { abs_floor: 0.2 },
-        // Parallel speedup ratios: higher-better, and strongly
-        // machine-dependent (a 1-core runner records ≈ 1×, an 8-core
-        // records 3×+), so only a collapse below the recorded baseline
-        // gates — never an improvement.
-        _ if key.ends_with("_speedup") => MetricClass::Rate { abs_floor: 0.3 },
         _ => MetricClass::Count,
     }
 }
@@ -454,25 +449,6 @@ mod tests {
             Tolerances::default(),
         );
         assert!(!r.regressed(), "{}", r.render());
-    }
-
-    #[test]
-    fn speedup_metrics_regress_downward_only() {
-        // A beefier runner than the baseline machine is never a failure…
-        let r = cmp(
-            r#"{"sharded_speedup":1.1}"#,
-            r#"{"sharded_speedup":3.2}"#,
-            Tolerances::default(),
-        );
-        assert!(!r.regressed(), "{}", r.render());
-        // …but a collapse below baseline-minus-slack is.
-        let r = cmp(
-            r#"{"sharded_speedup":2.5}"#,
-            r#"{"sharded_speedup":0.8}"#,
-            Tolerances::default(),
-        );
-        assert!(r.regressed(), "{}", r.render());
-        assert_eq!(r.regressions()[0].path, "sharded_speedup");
     }
 
     #[test]

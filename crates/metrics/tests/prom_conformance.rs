@@ -124,7 +124,7 @@ fn label_escaping_round_trips() {
 
 #[test]
 fn repeated_families_share_one_type_header() {
-    // Per-phase and per-shard series — the shape of the `bds_obs_*`
+    // Per-phase and per-node series — the shape of the `bds_obs_*`
     // exporter — append samples under a single # TYPE header instead of
     // re-emitting it (the format allows at most one per metric name).
     let mut p = PromText::new();
@@ -145,16 +145,16 @@ fn repeated_families_share_one_type_header() {
             0.25,
         );
     }
-    for shard in ["0", "1", "2", "3"] {
+    for node in ["0", "1", "2", "3"] {
         let mut labels = base.to_vec();
-        labels.push(("shard", shard));
-        p.gauge("bds_obs_shard_busy_seconds", "Busy", &labels, 1.5);
-        p.gauge("bds_obs_shard_wait_seconds", "Wait", &labels, 0.5);
+        labels.push(("node", node));
+        p.gauge("bds_dpn_busy_seconds", "Busy", &labels, 1.5);
+        p.gauge("bds_dpn_down_seconds", "Down", &labels, 0.5);
     }
     let mut h = LogHistogram::new();
     h.record_secs(0.004);
     h.record_secs(3.0);
-    p.histogram("bds_obs_window_width_ms", "Window widths", base, &h);
+    p.histogram("bds_response_time_seconds", "Response times", base, &h);
     let doc = p.finish();
     check_exposition(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
     let type_lines = doc

@@ -7,22 +7,17 @@
 //! branch per probe, so an unprofiled run is byte-identical — and
 //! within noise, cycle-identical — to a build without the probes.
 //!
-//! Three kinds of data are collected when the profiler is on:
+//! Two kinds of data are collected when the profiler is on:
 //!
 //! * **Phase attribution** ([`Phase`]): scoped monotonic-clock timers
 //!   around the engine pump's leaf phases (scheduler decisions, CN work
-//!   enqueue, event-queue ops, sharded rotation drain, snapshot/
-//!   restore). Hot phases are stride-sampled — every call is counted,
-//!   every `STRIDE_HOT`-th call is timed — which keeps the on-overhead
-//!   inside the same ≤2 % budget as step dispatch while the estimate
-//!   `ns_sum × count / sampled` stays unbiased for i.i.d. durations.
-//! * **Shard/barrier telemetry**: per-window width, rotations, fan-out
-//!   taken vs. inline, and per-shard busy vs. spin/yield-wait
-//!   nanoseconds (mergeable across worker threads), from which the
-//!   report derives the imbalance ratio and the busy+wait attribution
-//!   fraction of each worker's wall-clock residency.
-//! * **Wall-clock spans**: a bounded ring of window/snapshot/restore
-//!   spans exported as a Chrome trace in *host* time, complementing the
+//!   enqueue, event-queue ops, snapshot/restore). Hot phases are
+//!   stride-sampled — every call is counted, every `STRIDE_HOT`-th call
+//!   is timed — which keeps the on-overhead inside the same ≤2 % budget
+//!   as step dispatch while the estimate `ns_sum × count / sampled`
+//!   stays unbiased for i.i.d. durations.
+//! * **Wall-clock spans**: a bounded ring of snapshot/restore spans
+//!   exported as a Chrome trace in *host* time, complementing the
 //!   sim-time exporter in `bds-trace`.
 //!
 //! Everything is wall-clock only: the profiler never reads or advances
@@ -32,7 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bds_metrics::{LogHistogram, PromText};
+use bds_metrics::PromText;
 use bds_trace::json::{JsonArr, JsonObj};
 use std::time::Instant;
 
@@ -40,8 +35,8 @@ use std::time::Instant;
 /// Counts are exact regardless; only durations are sampled.
 pub const STRIDE_HOT: u32 = 64;
 
-/// Bounded capacity of the wall-clock span ring (windows, snapshots,
-/// restores); overflow increments a drop counter instead of growing.
+/// Bounded capacity of the wall-clock span ring (snapshots, restores);
+/// overflow increments a drop counter instead of growing.
 pub const SPAN_CAP: usize = 8192;
 
 /// A leaf phase of the engine pump, attributed by scoped timers.
@@ -58,9 +53,6 @@ pub enum Phase {
     CnWork,
     /// Event-queue peek/sample/pop in the pump.
     EventQueue,
-    /// Sharded window work on the caller thread: own-cell rotation,
-    /// done-wait, and the stamping barrier.
-    RotationDrain,
     /// Full-state snapshot serialization.
     Snapshot,
     /// Snapshot restore (including oplog replay).
@@ -69,14 +61,13 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (array sizing).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
 
     /// All phases, in report order.
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::SchedulerDecide,
         Phase::CnWork,
         Phase::EventQueue,
-        Phase::RotationDrain,
         Phase::Snapshot,
         Phase::Restore,
     ];
@@ -87,7 +78,6 @@ impl Phase {
             Phase::SchedulerDecide => "scheduler_decide",
             Phase::CnWork => "cn_work",
             Phase::EventQueue => "event_queue",
-            Phase::RotationDrain => "rotation_drain",
             Phase::Snapshot => "snapshot",
             Phase::Restore => "restore",
         }
@@ -99,12 +89,12 @@ impl Phase {
     }
 
     /// Hot phases fire per event and are stride-sampled; cold phases
-    /// (windows, snapshot, restore) are rare and timed every call.
+    /// (snapshot, restore) are rare and timed every call.
     #[inline(always)]
     fn stride(self) -> u32 {
         match self {
             Phase::SchedulerDecide | Phase::CnWork | Phase::EventQueue => STRIDE_HOT,
-            Phase::RotationDrain | Phase::Snapshot | Phase::Restore => 1,
+            Phase::Snapshot | Phase::Restore => 1,
         }
     }
 }
@@ -131,56 +121,6 @@ impl PhaseStat {
         }
         self.ns_sum as f64 * (self.count as f64 / self.sampled as f64)
     }
-
-    /// Fold another accumulator into this one.
-    pub fn merge(&mut self, o: &PhaseStat) {
-        self.count += o.count;
-        self.sampled += o.sampled;
-        self.ns_sum += o.ns_sum;
-        self.ns_max = self.ns_max.max(o.ns_max);
-    }
-}
-
-/// Per-worker shard residency: where the worker's wall clock went while
-/// the sharded run was live. Mergeable (same shard id accumulates).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStat {
-    /// Nanoseconds inside `rotate_below` (lane drains).
-    pub busy_ns: u64,
-    /// Nanoseconds spent in the spin/yield/park barrier wait.
-    pub wait_ns: u64,
-    /// Total wall residency of the worker loop (or, for shard 0, the
-    /// caller's window scope). `busy + wait ≤ loop` up to bookkeeping.
-    pub loop_ns: u64,
-    /// Barrier rounds participated in.
-    pub rounds: u64,
-}
-
-/// Residency below which [`ShardStat::attribution`] is undefined: a
-/// worker that never got the core (spawned, parked, woken only to
-/// observe shutdown) measures a lifetime of a few hundred ns, where the
-/// segment-boundary bookkeeping instructions themselves dominate the
-/// ratio. 100 µs keeps that bookkeeping under ~1 % of the denominator.
-pub const ATTRIBUTION_MIN_NS: u64 = 100_000;
-
-impl ShardStat {
-    /// Fraction of wall residency attributed to busy or wait (`None`
-    /// until the shard has at least [`ATTRIBUTION_MIN_NS`] residency —
-    /// below that the ratio is bookkeeping noise, not a measurement).
-    pub fn attribution(&self) -> Option<f64> {
-        if self.loop_ns < ATTRIBUTION_MIN_NS {
-            return None;
-        }
-        Some((self.busy_ns + self.wait_ns) as f64 / self.loop_ns as f64)
-    }
-
-    /// Accumulate another residency record for the same shard.
-    pub fn merge(&mut self, o: &ShardStat) {
-        self.busy_ns += o.busy_ns;
-        self.wait_ns += o.wait_ns;
-        self.loop_ns += o.loop_ns;
-        self.rounds += o.rounds;
-    }
 }
 
 /// One wall-clock span for the Chrome-trace export.
@@ -190,9 +130,6 @@ struct SpanRec {
     /// Start offset from the profiler epoch, ns.
     start_ns: u64,
     dur_ns: u64,
-    /// Span-specific payload (rotations for windows, bytes for
-    /// snapshots; 0 when unused).
-    arg: u64,
 }
 
 /// Live profiler state (boxed behind [`Profiler::On`]).
@@ -202,48 +139,23 @@ pub struct ObsState {
     phases: [PhaseStat; Phase::COUNT],
     /// Per-phase countdown to the next timed call.
     countdown: [u32; Phase::COUNT],
-    windows: u64,
-    rotations: u64,
-    stales: u64,
-    fanout_taken: u64,
-    fanout_inline: u64,
-    /// Sim-time window widths, in ms ticks.
-    win_width_hist: LogHistogram,
-    /// Rotations per window, in count ticks.
-    win_rots_hist: LogHistogram,
-    shards: Vec<ShardStat>,
     spans: Vec<SpanRec>,
     spans_dropped: u64,
-    /// One-time structured notices raised while profiling (e.g. the
-    /// sharded→serial fallback).
-    notices: Vec<String>,
 }
 
 impl ObsState {
     fn new() -> Self {
-        let mut countdown = [1u32; Phase::COUNT];
-        for p in Phase::ALL {
-            countdown[p.idx()] = 1; // time the first call of every phase
-        }
         ObsState {
             epoch: Instant::now(),
             phases: [PhaseStat::default(); Phase::COUNT],
-            countdown,
-            windows: 0,
-            rotations: 0,
-            stales: 0,
-            fanout_taken: 0,
-            fanout_inline: 0,
-            win_width_hist: LogHistogram::new(),
-            win_rots_hist: LogHistogram::new(),
-            shards: Vec::new(),
+            // Time the first call of every phase.
+            countdown: [1; Phase::COUNT],
             spans: Vec::new(),
             spans_dropped: 0,
-            notices: Vec::new(),
         }
     }
 
-    fn push_span(&mut self, name: &'static str, start: Instant, arg: u64) {
+    fn push_span(&mut self, name: &'static str, start: Instant) {
         let dur_ns = start.elapsed().as_nanos() as u64;
         let start_ns = start.duration_since(self.epoch).as_nanos() as u64;
         if self.spans.len() < SPAN_CAP {
@@ -251,7 +163,6 @@ impl ObsState {
                 name,
                 start_ns,
                 dur_ns,
-                arg,
             });
         } else {
             self.spans_dropped += 1;
@@ -324,63 +235,8 @@ impl Profiler {
             st.ns_sum += ns;
             st.ns_max = st.ns_max.max(ns);
             if matches!(tok.phase, Phase::Snapshot | Phase::Restore) {
-                s.push_span(tok.phase.label(), start, 0);
+                s.push_span(tok.phase.label(), start);
             }
-        }
-    }
-
-    /// Wall-clock anchor for a window span (`None` when off, so the
-    /// sharded loop pays nothing unprofiled).
-    #[inline]
-    pub fn clock(&self) -> Option<Instant> {
-        match self {
-            Profiler::Off => None,
-            Profiler::On(_) => Some(Instant::now()),
-        }
-    }
-
-    /// Record one completed sharded window: sim-time width, rotation
-    /// and stale-pop counts, and whether it fanned out to the pool.
-    pub fn window(
-        &mut self,
-        started: Option<Instant>,
-        width_ms: u64,
-        rots: u64,
-        stales: u64,
-        fanned_out: bool,
-    ) {
-        let Profiler::On(s) = self else { return };
-        s.windows += 1;
-        s.rotations += rots;
-        s.stales += stales;
-        if fanned_out {
-            s.fanout_taken += 1;
-        } else {
-            s.fanout_inline += 1;
-        }
-        s.win_width_hist.record_ticks(width_ms);
-        s.win_rots_hist.record_ticks(rots);
-        if let Some(t) = started {
-            s.push_span("window", t, rots);
-        }
-    }
-
-    /// Merge one worker's shard residency (same shard id accumulates
-    /// across successive sharded runs).
-    pub fn merge_shard(&mut self, shard: usize, stat: ShardStat) {
-        let Profiler::On(s) = self else { return };
-        if s.shards.len() <= shard {
-            s.shards.resize(shard + 1, ShardStat::default());
-        }
-        s.shards[shard].merge(&stat);
-    }
-
-    /// Attach a one-time structured notice to the profile (the caller
-    /// decides once-ness; see [`notice_once`] for the process-global
-    /// stderr side).
-    pub fn note(&mut self, msg: &str) {
-        if let Profiler::On(s) = self {
-            s.notices.push(msg.to_string());
         }
     }
 
@@ -419,15 +275,6 @@ pub struct PhaseReport {
     pub est_total_ns: f64,
 }
 
-/// One shard's row in the report.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Shard index (0 = the caller thread).
-    pub shard: usize,
-    /// Residency breakdown.
-    pub stat: ShardStat,
-}
-
 /// Aggregated profile, ready for export. Snapshot-able mid-run.
 #[derive(Debug, Clone)]
 pub struct ObsReport {
@@ -435,24 +282,6 @@ pub struct ObsReport {
     pub wall_ns: u64,
     /// Per-phase attribution (report order = [`Phase::ALL`]).
     pub phases: Vec<PhaseReport>,
-    /// Sharded windows completed.
-    pub windows: u64,
-    /// Total live rotations inside windows.
-    pub rotations: u64,
-    /// Total stale tombstone pops inside windows.
-    pub stales: u64,
-    /// Windows that fanned out to the worker pool.
-    pub fanout_taken: u64,
-    /// Windows rotated inline on the caller (below the fan-out gate).
-    pub fanout_inline: u64,
-    /// Sim-time window widths (ms ticks).
-    pub win_width_hist: LogHistogram,
-    /// Rotations per window (count ticks).
-    pub win_rots_hist: LogHistogram,
-    /// Per-shard residency.
-    pub shards: Vec<ShardReport>,
-    /// One-time notices raised during collection.
-    pub notices: Vec<String>,
     spans: Vec<SpanRec>,
     spans_dropped: u64,
 }
@@ -475,21 +304,6 @@ impl ObsReport {
                     }
                 })
                 .collect(),
-            windows: s.windows,
-            rotations: s.rotations,
-            stales: s.stales,
-            fanout_taken: s.fanout_taken,
-            fanout_inline: s.fanout_inline,
-            win_width_hist: s.win_width_hist.clone(),
-            win_rots_hist: s.win_rots_hist.clone(),
-            shards: s
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(_, st)| st.loop_ns > 0 || st.rounds > 0)
-                .map(|(shard, st)| ShardReport { shard, stat: *st })
-                .collect(),
-            notices: s.notices.clone(),
             spans: s.spans.clone(),
             spans_dropped: s.spans_dropped,
         }
@@ -515,28 +329,6 @@ impl ObsReport {
         rows
     }
 
-    /// Busy-imbalance ratio across shards: max busy / mean busy
-    /// (`None` with fewer than two shards reporting busy time).
-    pub fn imbalance(&self) -> Option<f64> {
-        let busy: Vec<u64> = self.shards.iter().map(|s| s.stat.busy_ns).collect();
-        if busy.len() < 2 || busy.iter().all(|&b| b == 0) {
-            return None;
-        }
-        let max = *busy.iter().max().expect("nonempty") as f64;
-        let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
-        Some(max / mean)
-    }
-
-    /// Minimum busy+wait attribution fraction over all shards
-    /// (`None` with no shard residency). The acceptance gate requires
-    /// this to stay ≥ 0.95 on sharded runs.
-    pub fn min_attribution(&self) -> Option<f64> {
-        self.shards
-            .iter()
-            .filter_map(|s| s.stat.attribution())
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
     /// Serialize to JSON with the standard build-info header.
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
@@ -555,44 +347,11 @@ impl ObsReport {
         }
         o.raw("phases", &phases.finish());
         o.num("attributed_ns", self.attributed_ns());
-        let mut sh = JsonObj::new();
-        sh.int("windows", self.windows);
-        sh.int("rotations", self.rotations);
-        sh.int("stales", self.stales);
-        sh.int("fanout_taken", self.fanout_taken);
-        sh.int("fanout_inline", self.fanout_inline);
-        sh.opt_num("window_width_ms_p50", self.win_width_hist.quantile(0.5));
-        sh.opt_num("window_width_ms_p99", self.win_width_hist.quantile(0.99));
-        sh.opt_num("rots_per_window_p50", self.win_rots_hist.quantile(0.5));
-        sh.opt_num("rots_per_window_p99", self.win_rots_hist.quantile(0.99));
-        sh.opt_num("imbalance_ratio", self.imbalance());
-        sh.opt_num("min_attribution", self.min_attribution());
-        let mut shards = JsonArr::new();
-        for s in &self.shards {
-            let mut row = JsonObj::new();
-            row.int("shard", s.shard as u64);
-            row.int("busy_ns", s.stat.busy_ns);
-            row.int("wait_ns", s.stat.wait_ns);
-            row.int("loop_ns", s.stat.loop_ns);
-            row.int("rounds", s.stat.rounds);
-            row.opt_num("attribution", s.stat.attribution());
-            shards.raw(&row.finish());
-        }
-        sh.raw("shards", &shards.finish());
-        o.raw("sharded", &sh.finish());
-        if !self.notices.is_empty() {
-            let mut n = JsonArr::new();
-            for msg in &self.notices {
-                n.str(msg);
-            }
-            o.raw("notices", &n.finish());
-        }
         o.finish()
     }
 
     /// Append the profile to a Prometheus exposition, labelled by
-    /// `scheduler` when non-empty. Quantile histograms are exported
-    /// with full bucket detail via [`PromText::histogram`].
+    /// `scheduler` when non-empty.
     pub fn render_prom(&self, p: &mut PromText, scheduler: &str) {
         let base: Vec<(&str, &str)> = if scheduler.is_empty() {
             Vec::new()
@@ -621,67 +380,6 @@ impl ObsReport {
                 row.est_total_ns / 1e9,
             );
         }
-        p.counter(
-            "bds_obs_windows_total",
-            "Sharded windows completed",
-            &base,
-            self.windows,
-        );
-        p.counter(
-            "bds_obs_rotations_total",
-            "Live lane rotations inside windows",
-            &base,
-            self.rotations,
-        );
-        p.counter(
-            "bds_obs_fanout_taken_total",
-            "Windows fanned out to the worker pool",
-            &base,
-            self.fanout_taken,
-        );
-        p.counter(
-            "bds_obs_fanout_inline_total",
-            "Windows rotated inline below the fan-out gate",
-            &base,
-            self.fanout_inline,
-        );
-        p.histogram(
-            "bds_obs_window_width_ms",
-            "Sim-time window width (ms) per sharded window",
-            &base,
-            &self.win_width_hist,
-        );
-        p.histogram(
-            "bds_obs_rots_per_window",
-            "Rotations per sharded window",
-            &base,
-            &self.win_rots_hist,
-        );
-        for s in &self.shards {
-            let shard = s.shard.to_string();
-            let mut labels = base.clone();
-            labels.push(("shard", &shard));
-            p.gauge(
-                "bds_obs_shard_busy_seconds",
-                "Worker time inside lane rotation",
-                &labels,
-                s.stat.busy_ns as f64 / 1e9,
-            );
-            p.gauge(
-                "bds_obs_shard_wait_seconds",
-                "Worker time in the barrier spin/yield/park wait",
-                &labels,
-                s.stat.wait_ns as f64 / 1e9,
-            );
-        }
-        if let Some(r) = self.imbalance() {
-            p.gauge(
-                "bds_obs_shard_imbalance_ratio",
-                "Max over mean per-shard busy time",
-                &base,
-                r,
-            );
-        }
     }
 
     /// Export the wall-clock span ring as a Chrome trace (host time,
@@ -705,9 +403,6 @@ impl ObsReport {
             e.int("tid", 0);
             e.num("ts", s.start_ns as f64 / 1e3);
             e.num("dur", s.dur_ns as f64 / 1e3);
-            let mut args = JsonObj::new();
-            args.int("arg", s.arg);
-            e.raw("args", &args.finish());
             events.raw(&e.finish());
         }
         let mut o = JsonObj::new();
@@ -744,28 +439,6 @@ pub fn build_info_json() -> String {
     o.finish()
 }
 
-/// Emit a structured one-line notice to stderr at most once per
-/// process per `kind`; returns whether this call was the first.
-/// Used for conditions that silently change behaviour (e.g. the
-/// sharded→serial fallback under an active tracer).
-pub fn notice_once(kind: &str, detail: &str) -> bool {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static SEEN: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
-    let seen = SEEN.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let first = seen
-        .lock()
-        .expect("notice set poisoned")
-        .insert(kind.to_string());
-    if first {
-        let mut o = JsonObj::new();
-        o.str("obs_notice", kind);
-        o.str("detail", detail);
-        eprintln!("{}", o.finish());
-    }
-    first
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,9 +450,6 @@ mod tests {
         assert!(!p.enabled());
         let tok = p.phase_start(Phase::SchedulerDecide);
         p.phase_end(tok);
-        assert!(p.clock().is_none());
-        p.window(None, 10, 5, 0, true);
-        p.merge_shard(3, ShardStat::default());
         assert!(p.report().is_none());
         assert!(p.finish().is_none());
     }
@@ -815,57 +485,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_and_derived_ratios() {
-        let mut p = Profiler::on();
-        p.merge_shard(
-            0,
-            ShardStat {
-                busy_ns: 900_000,
-                wait_ns: 80_000,
-                loop_ns: 1_000_000,
-                rounds: 4,
-            },
-        );
-        p.merge_shard(
-            1,
-            ShardStat {
-                busy_ns: 300_000,
-                wait_ns: 680_000,
-                loop_ns: 1_000_000,
-                rounds: 4,
-            },
-        );
-        // Second run on shard 1 accumulates.
-        p.merge_shard(
-            1,
-            ShardStat {
-                busy_ns: 300_000,
-                wait_ns: 680_000,
-                loop_ns: 1_000_000,
-                rounds: 4,
-            },
-        );
-        p.window(p.clock(), 50, 7, 1, true);
-        p.window(p.clock(), 20, 3, 0, false);
-        let r = p.finish().expect("report");
-        assert_eq!(r.windows, 2);
-        assert_eq!(r.rotations, 10);
-        assert_eq!((r.fanout_taken, r.fanout_inline), (1, 1));
-        assert_eq!(r.shards.len(), 2);
-        assert_eq!(r.shards[1].stat.rounds, 8);
-        // busy: [900, 600] µs → max 900 / mean 750.
-        let imb = r.imbalance().expect("two shards");
-        assert!((imb - 900.0 / 750.0).abs() < 1e-9);
-        let att = r.min_attribution().expect("residency present");
-        assert!((att - 0.98).abs() < 1e-9, "got {att}");
-    }
-
-    #[test]
     fn json_export_parses_and_carries_build_header() {
         let mut p = Profiler::on();
         let tok = p.phase_start(Phase::CnWork);
         p.phase_end(tok);
-        p.note("test notice");
         let r = p.finish().expect("report");
         let v = parse(&r.to_json()).expect("valid json");
         let build = v.get("build").expect("build header");
@@ -876,27 +499,13 @@ mod tests {
         assert!(build.get("host_threads").is_some());
         let phases = v.get("phases").and_then(JsonValue::as_arr).expect("phases");
         assert_eq!(phases.len(), Phase::COUNT);
-        let notices = v
-            .get("notices")
-            .and_then(JsonValue::as_arr)
-            .expect("notices");
-        assert_eq!(notices.len(), 1);
     }
 
     #[test]
-    fn prom_export_has_phase_and_shard_series() {
+    fn prom_export_has_phase_series() {
         let mut p = Profiler::on();
         let tok = p.phase_start(Phase::SchedulerDecide);
         p.phase_end(tok);
-        p.merge_shard(
-            0,
-            ShardStat {
-                busy_ns: 10,
-                wait_ns: 5,
-                loop_ns: 20,
-                rounds: 1,
-            },
-        );
         let r = p.finish().expect("report");
         let mut t = PromText::new();
         r.render_prom(&mut t, "GOW");
@@ -904,16 +513,8 @@ mod tests {
         assert!(body.contains("bds_obs_phase_calls_total"));
         assert!(body.contains("phase=\"scheduler_decide\""));
         assert!(body.contains("scheduler=\"GOW\""));
-        assert!(body.contains("bds_obs_shard_busy_seconds"));
-        // The multi-phase / multi-shard families must still be a valid
-        // exposition document (one TYPE header, no duplicate series).
+        // The multi-phase families must still be a valid exposition
+        // document (one TYPE header, no duplicate series).
         bds_metrics::check_exposition(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
-    }
-
-    #[test]
-    fn notice_once_is_once_per_kind() {
-        assert!(notice_once("obs-unit-test-kind", "first"));
-        assert!(!notice_once("obs-unit-test-kind", "second"));
-        assert!(notice_once("obs-unit-test-other", "first"));
     }
 }

@@ -1,14 +1,14 @@
 //! A live terminal dashboard over the host profiler and the `watch`
 //! telemetry stream: windowed commit/restart/event rates as scrolling
-//! sparklines, the profiler's phase shares, and the sharded engine's
-//! barrier stats, redrawn in place as the simulation advances.
+//! sparklines and the profiler's phase shares, redrawn in place as the
+//! simulation advances.
 //!
 //! ```text
 //! cargo run --release --example live_dashboard
 //! cargo run --release --example live_dashboard -- --connect 127.0.0.1:7070
 //! ```
 //!
-//! With no arguments the dashboard drives an in-process sharded engine
+//! With no arguments the dashboard drives an in-process profiled engine
 //! (Exp-1, 16 files, λ = 1.1, GOW) and reads its profile directly.
 //! With `--connect HOST:PORT` it attaches to a running
 //! `bds-serve --listen` session instead, configures one if the session
@@ -40,10 +40,6 @@ struct Frame {
     events_per_s: f64,
     /// (phase label, share of attributed time).
     phases: Vec<(String, f64)>,
-    shards: u64,
-    windows: u64,
-    imbalance: Option<f64>,
-    min_attribution: Option<f64>,
 }
 
 /// Scrolling rate histories plus in-place terminal redraw.
@@ -116,21 +112,6 @@ impl Dashboard {
                 .join("  ");
             out.push_str(&format!("  phases:    {shares}\n"));
         }
-        if f.shards > 0 {
-            out.push_str(&format!(
-                "  shards: {}  windows {}  imbalance {}  attribution {}\n",
-                f.shards,
-                f.windows,
-                match f.imbalance {
-                    Some(r) => format!("{r:.2}x"),
-                    None => "n/a".into(),
-                },
-                match f.min_attribution {
-                    Some(a) => format!("{:.1}%", a * 100.0),
-                    None => "n/a".into(),
-                }
-            ));
-        }
         if self.tty && self.drawn_lines > 0 {
             // Redraw over the previous frame.
             print!("\x1b[{}A\x1b[J", self.drawn_lines);
@@ -170,7 +151,7 @@ fn run_connected(addr: &str) {
         ask(
             &mut writer,
             &mut reader,
-            r#"{"cmd":"configure","scheduler":"gow","lambda":1.1,"horizon_s":600,"seed":7,"shards":2}"#,
+            r#"{"cmd":"configure","scheduler":"gow","lambda":1.1,"horizon_s":600,"seed":7}"#,
         );
         status = ask(&mut writer, &mut reader, r#"{"cmd":"status"}"#);
     }
@@ -194,7 +175,6 @@ fn run_connected(addr: &str) {
             break;
         }
         let rates = v.get("rates").cloned().unwrap_or(JsonValue::Null);
-        let obs = v.get("obs").cloned().unwrap_or(JsonValue::Null);
         let phases = match v.get("phases") {
             Some(JsonValue::Obj(pairs)) => pairs
                 .iter()
@@ -211,21 +191,13 @@ fn run_connected(addr: &str) {
             restarts_per_s: num(&rates, "restarts_per_s"),
             events_per_s: num(&rates, "events_per_s"),
             phases,
-            shards: num(&obs, "shards") as u64,
-            windows: num(&obs, "windows") as u64,
-            imbalance: obs.get("imbalance").and_then(JsonValue::as_num),
-            min_attribution: obs.get("min_attribution").and_then(JsonValue::as_num),
         });
     }
 }
 
-/// Drive a profiled sharded engine in-process and render its telemetry
-/// at every sim-time chunk — no server required.
+/// Drive a profiled engine in-process and render its telemetry at every
+/// sim-time chunk — no server required.
 fn run_in_process() {
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(2)
-        .max(2);
     let mut cfg = SimConfig::new(SchedulerKind::Gow, WorkloadKind::Exp1 { num_files: 16 });
     cfg.lambda_tps = 1.1;
     cfg.horizon = Duration::from_secs(600);
@@ -238,7 +210,7 @@ fn run_in_process() {
     let mut cursor = 0u64;
     while cursor < horizon_ms {
         cursor = (cursor + interval_ms).min(horizon_ms);
-        engine.run_until_sharded(SimTime::from_millis(cursor), shards);
+        engine.run_until(SimTime::from_millis(cursor));
         let r = engine.report();
         let dt_s = (cursor - prev.0) as f64 / 1e3;
         let prof = engine.profile().expect("profiler is on");
@@ -255,10 +227,6 @@ fn run_in_process() {
                 .iter()
                 .map(|(p, s)| (p.to_string(), *s))
                 .collect(),
-            shards: prof.shards.len() as u64,
-            windows: prof.windows,
-            imbalance: prof.imbalance(),
-            min_attribution: prof.min_attribution(),
         });
         prev = (cursor, r.completed, r.restarts, r.events);
         // Pace the demo so the redraw is visible as a live stream.
