@@ -5,7 +5,6 @@
 //! * [`TimeWeighted`] — piecewise-constant time averages (server
 //!   utilization, queue lengths; the paper reports ~95 % resource
 //!   utilization for NODC at saturation).
-//! * [`Histogram`] — fixed-width binning with quantile queries.
 //! * [`BatchMeans`] — non-overlapping batch means for a Student-t
 //!   confidence interval on a steady-state mean (streaming; batch means
 //!   fold into a [`Welford`], not a sample vector).
@@ -200,107 +199,6 @@ impl TimeWeighted {
     }
 }
 
-/// Fixed-width histogram over `[0, width · bins)` with an overflow bucket.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    width: f64,
-    counts: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// `bins` buckets of width `width` plus one overflow bucket.
-    ///
-    /// # Panics
-    /// Panics if `width <= 0` or `bins == 0`.
-    pub fn new(width: f64, bins: usize) -> Self {
-        assert!(width > 0.0 && bins > 0, "invalid histogram shape");
-        Histogram {
-            width,
-            counts: vec![0; bins],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record a (non-negative) observation; negatives clamp to bucket 0.
-    pub fn record(&mut self, x: f64) {
-        self.total += 1;
-        if x < 0.0 {
-            self.counts[0] += 1;
-            return;
-        }
-        let idx = (x / self.width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Number of observations recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in the overflow bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Bucket counts (excluding overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Bucket width.
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
-    /// Rebuild a histogram from raw parts (checkpointing counterpart of
-    /// [`Histogram::width`] / [`Histogram::counts`] /
-    /// [`Histogram::overflow`] / [`Histogram::total`]).
-    ///
-    /// # Panics
-    /// Panics if the shape is invalid or the counts do not sum to
-    /// `total`.
-    pub fn from_state(width: f64, counts: Vec<u64>, overflow: u64, total: u64) -> Self {
-        assert!(width > 0.0 && !counts.is_empty(), "invalid histogram shape");
-        assert_eq!(
-            counts.iter().sum::<u64>() + overflow,
-            total,
-            "histogram counts do not sum to total"
-        );
-        Histogram {
-            width,
-            counts,
-            overflow,
-            total,
-        }
-    }
-
-    /// Approximate `q`-quantile (`0 ≤ q ≤ 1`) assuming observations sit at
-    /// bucket midpoints; returns `None` if empty. Observations in the
-    /// overflow bucket are treated as `width · bins`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some((i as f64 + 0.5) * self.width);
-            }
-        }
-        Some(self.width * self.counts.len() as f64)
-    }
-}
-
 /// Two-sided 95 % Student-t critical values keyed by degrees of freedom.
 /// Between entries the value for the next *lower* tabulated dof applies
 /// (a wider, conservative interval).
@@ -480,28 +378,6 @@ mod tests {
         assert_eq!(tw.current(), 5.0);
         // (2*5 + 5*5) / 10 = 3.5
         assert!((tw.average(SimTime::from_millis(10)) - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_counts_and_quantiles() {
-        let mut h = Histogram::new(1.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0); // uniform on [0, 10)
-        }
-        assert_eq!(h.total(), 100);
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.counts().iter().sum::<u64>(), 100);
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 4.5).abs() <= 1.0, "median {median}");
-    }
-
-    #[test]
-    fn histogram_overflow() {
-        let mut h = Histogram::new(1.0, 2);
-        h.record(5.0);
-        h.record(-1.0);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.counts()[0], 1);
     }
 
     #[test]

@@ -24,10 +24,21 @@
 //! Every response carries `"ok":true` or `"ok":false` plus `"error"`.
 //! Bad input is refused with `"ok":false` and leaves the session as it
 //! was: `configure` rejects unknown keys, non-integral or out-of-range
-//! integers and an `mpl` of 0. `configure` accepts `scheduler`,
-//! `workload`, `lambda`, `dd`, `horizon_s`, `seed`, `mpl`, `faults`,
-//! `metrics_dt_ms` and `profile`. The engine runs every session on one
-//! serial event loop.
+//! integers and an `mpl` of 0; `submit` rejects a step `file` that is
+//! not an integer naming one of the workload's files. `configure`
+//! accepts `scheduler`, `workload`, `lambda`, `dd`, `horizon_s`, `seed`,
+//! `mpl`, `faults`, `metrics_dt_ms` and `profile`. The engine runs every
+//! session on one serial event loop.
+//!
+//! `step` processes up to `n` events (default 1) and lists, in order,
+//! the `effects` they produced: one object per lifecycle fact, named by
+//! `"e"` — `arrived`, `admitted`, `admit-refused`, `granted`, `blocked`
+//! and `delayed` (these three with `step` and `file`), `restart`,
+//! `committed`, `aborted` (with `cause`: `validation`, `scheduler` or
+//! `fault`), `killed`, and `fault` (with `action` `crash` or `recover`
+//! plus `node`, or `stall-cn` plus `dur_ms`). Effects are read from the
+//! engine's trace records of those events only; `run-until`, `run` and
+//! `watch` record nothing.
 //!
 //! `watch` is the one streaming command: it advances the simulation in
 //! `interval_ms` sim-time chunks and emits one `{"watch":true,...}`
@@ -40,14 +51,14 @@
 
 use bds_des::time::{Duration, SimTime};
 use bds_engine::config::{SimConfig, WorkloadKind};
-use bds_engine::engine::{AbortCause, Effect, Engine};
+use bds_engine::engine::{AbortCause, Engine};
 use bds_engine::snapshot::Snapshot;
-use bds_fault::{FaultAction, FaultPlan};
+use bds_fault::FaultPlan;
 use bds_metrics::{parse, JsonValue, PromText};
 use bds_obs::Profiler;
 use bds_sched::SchedulerKind;
 use bds_trace::json::{JsonArr, JsonObj};
-use bds_trace::{chrome_trace, Tracer};
+use bds_trace::{chrome_trace, EventKind, Rec, Tracer};
 use bds_workload::{BatchSpec, FileId, LockMode, Step};
 use std::io::{BufRead, BufReader, Write};
 
@@ -209,48 +220,46 @@ fn parse_file_count(n: &str) -> Result<u32, String> {
     }
 }
 
-fn effect_json(e: &Effect) -> String {
+/// The `step` reply's view of one trace record: the lifecycle facts a
+/// client sees (`"e"` names the effect), or `None` for records that are
+/// internal detail (lock requests, cohorts, CPU bursts, edges, …).
+fn record_json(rec: &Rec) -> Option<String> {
     let mut o = JsonObj::new();
-    match e {
-        Effect::Arrived { txn } => {
+    let lock = |o: &mut JsonObj, e: &str, txn: u64, step: u32, file: u32| {
+        o.str("e", e);
+        o.int("txn", txn);
+        o.int("step", u64::from(step));
+        o.int("file", u64::from(file));
+    };
+    match rec.kind {
+        EventKind::Arrival { txn } => {
             o.str("e", "arrived");
             o.int("txn", txn.0);
         }
-        Effect::Admitted { txn } => {
+        EventKind::Admit { txn } => {
             o.str("e", "admitted");
             o.int("txn", txn.0);
         }
-        Effect::AdmitRefused { txn } => {
+        EventKind::AdmitRefuse { txn, .. } => {
             o.str("e", "admit-refused");
             o.int("txn", txn.0);
         }
-        Effect::Granted { txn, step, file } => {
-            o.str("e", "granted");
-            o.int("txn", txn.0);
-            o.int("step", *step as u64);
-            o.int("file", u64::from(file.0));
-        }
-        Effect::Blocked { txn, step, file } => {
-            o.str("e", "blocked");
-            o.int("txn", txn.0);
-            o.int("step", *step as u64);
-            o.int("file", u64::from(file.0));
-        }
-        Effect::Delayed { txn, step, file } => {
-            o.str("e", "delayed");
-            o.int("txn", txn.0);
-            o.int("step", *step as u64);
-            o.int("file", u64::from(file.0));
-        }
-        Effect::RestartScheduled { txn } => {
+        EventKind::LockGrant { txn, step, file } => lock(&mut o, "granted", txn.0, step, file.0),
+        EventKind::LockBlock {
+            txn, step, file, ..
+        } => lock(&mut o, "blocked", txn.0, step, file.0),
+        EventKind::LockDeny {
+            txn, step, file, ..
+        } => lock(&mut o, "delayed", txn.0, step, file.0),
+        EventKind::Restart { txn } => {
             o.str("e", "restart");
             o.int("txn", txn.0);
         }
-        Effect::Committed { txn } => {
+        EventKind::Commit { txn } => {
             o.str("e", "committed");
             o.int("txn", txn.0);
         }
-        Effect::Aborted { txn, cause } => {
+        EventKind::Abort { txn, cause } => {
             o.str("e", "aborted");
             o.int("txn", txn.0);
             o.str(
@@ -262,29 +271,36 @@ fn effect_json(e: &Effect) -> String {
                 },
             );
         }
-        Effect::Killed { txn } => {
+        EventKind::TxnKilled { txn, .. } => {
             o.str("e", "killed");
             o.int("txn", txn.0);
         }
-        Effect::Fault(action) => {
+        EventKind::FaultInjected {
+            node: Some(node),
+            what: "dpn-crash",
+            ..
+        } => {
             o.str("e", "fault");
-            match action {
-                FaultAction::CrashNode { node } => {
-                    o.str("action", "crash");
-                    o.int("node", u64::from(*node));
-                }
-                FaultAction::RecoverNode { node } => {
-                    o.str("action", "recover");
-                    o.int("node", u64::from(*node));
-                }
-                FaultAction::StallCn { dur } => {
-                    o.str("action", "stall-cn");
-                    o.int("dur_ms", dur.as_millis());
-                }
-            }
+            o.str("action", "crash");
+            o.int("node", u64::from(node));
         }
+        EventKind::NodeRecovered { node } => {
+            o.str("e", "fault");
+            o.str("action", "recover");
+            o.int("node", u64::from(node));
+        }
+        EventKind::FaultInjected {
+            what: "cn-stall",
+            dur,
+            ..
+        } => {
+            o.str("e", "fault");
+            o.str("action", "stall-cn");
+            o.int("dur_ms", dur.as_millis());
+        }
+        _ => return None,
     }
-    o.finish()
+    Some(o.finish())
 }
 
 impl Session {
@@ -394,7 +410,6 @@ impl Session {
         }
         let mut engine = Engine::new(&cfg);
         engine.enable_checkpointing();
-        engine.enable_effects();
         if let Some(dt) = metrics_dt {
             engine.set_metrics_interval(Duration::from_millis(dt));
         }
@@ -413,14 +428,17 @@ impl Session {
         let n = get_u64(req, "n")?.unwrap_or(1);
         let e = self.engine()?;
         let mut effects = JsonArr::new();
+        let mut records = Vec::new();
         let mut processed = 0u64;
         let mut at = e.now();
         for _ in 0..n {
-            let Some(se) = e.step() else { break };
+            let Some(t) = e.step_records(&mut records) else {
+                break;
+            };
             processed += 1;
-            at = se.at;
-            for fx in &se.effects {
-                effects.raw(&effect_json(fx));
+            at = t;
+            for json in records.drain(..).filter_map(|rec| record_json(&rec)) {
+                effects.raw(&json);
             }
         }
         let mut o = ok();
@@ -455,6 +473,7 @@ impl Session {
         // steps: [["r"|"rs"|"w", file, cost, declared?], ...] — "r" reads
         // under an X lock like the paper's Pattern 1, "rs" under a shared
         // lock, "w" writes.
+        let num_files = self.engine()?.config().workload.num_files();
         let raw = req
             .get("steps")
             .and_then(JsonValue::as_arr)
@@ -471,7 +490,9 @@ impl Session {
             let file = parts
                 .get(1)
                 .and_then(JsonValue::as_num)
-                .ok_or_else(|| format!("step {i}: missing file"))? as u32;
+                .filter(|f| f.fract() == 0.0 && (0.0..f64::from(num_files)).contains(f))
+                .ok_or_else(|| format!("step {i}: file must be an integer in 0..{num_files}"))?
+                as u32;
             let cost = parts
                 .get(2)
                 .and_then(JsonValue::as_num)
@@ -552,8 +573,7 @@ impl Session {
             .as_mut()
             .map(Engine::take_profiler)
             .unwrap_or_default();
-        let mut engine = Engine::restore_with_profiler(base, &snap, obs);
-        engine.enable_effects();
+        let engine = Engine::restore_with_profiler(base, &snap, obs);
         let mut o = ok();
         o.str("scheduler", engine.label());
         o.int("now_ms", engine.now().as_millis());

@@ -106,12 +106,6 @@ pub struct SimConfig {
     /// spent scanning a long start queue; ASL's availability checks are
     /// free and scan the whole queue).
     pub admission_scan_limit: usize,
-    /// Compatibility flag: report response-time percentiles from the
-    /// legacy 1-second-bin histogram (which quantizes `rt_p50/p90/p99`
-    /// to bucket midpoints at whole-second resolution) instead of the
-    /// log-bucketed histogram with ≤ 1 % relative error. Off by default;
-    /// exists so historical reports can be reproduced bit-for-bit.
-    pub legacy_second_bin_percentiles: bool,
     /// Fault-injection plan (DPN crashes, CN stalls, link faults). The
     /// default is [`FaultPlan::none`], under which the simulator is
     /// byte-identical to a fault-free build.
@@ -134,16 +128,8 @@ impl SimConfig {
             retry_delay: Duration::from_millis(1000),
             restart_delay: Duration::from_millis(1000),
             admission_scan_limit: 16,
-            legacy_second_bin_percentiles: false,
             faults: FaultPlan::none(),
         }
-    }
-
-    /// Builder-style percentile-engine compatibility flag (see
-    /// [`SimConfig::legacy_second_bin_percentiles`]).
-    pub fn with_legacy_percentiles(mut self, legacy: bool) -> Self {
-        self.legacy_second_bin_percentiles = legacy;
-        self
     }
 
     /// Builder-style arrival rate.

@@ -28,19 +28,21 @@
 //! ## Engine vs. Simulator
 //!
 //! [`Engine`] owns the single event loop. [`Engine::step`] pops exactly
-//! one event and (when effect reporting is enabled) returns the
-//! externally visible [`Effect`]s it produced; [`Engine::run_until`] and
+//! one event; [`Engine::step_records`] does the same and hands back the
+//! trace records that event produced; [`Engine::run_until`] and
 //! [`Engine::run_to_horizon`] drive the same internal `pump` in bulk.
 //! The historical [`crate::sim::Simulator`] API is a thin adapter over
 //! an `Engine`.
 //!
 //! Three optional observers ride on the hot loop, each costing one
 //! predictable branch when off (the same pattern as `bds-trace`'s
-//! `Tracer`): the tracer, the metrics sampler, and the effect buffer.
-//! A fourth — the scheduler op-log behind [`Engine::snapshot`] — is
-//! enabled by [`Engine::enable_checkpointing`] and records every
-//! scheduler call so a restore can rebuild the scheduler by replay
-//! (schedulers are deterministic, RNG-free state machines).
+//! `Tracer`): the tracer, the metrics sampler, and the scheduler op-log.
+//! The tracer is the one lifecycle stream: every externally visible fact
+//! (arrival, admission, grant, block, commit, abort, fault) is emitted
+//! once, as a [`Rec`]. The op-log behind [`Engine::snapshot`] is enabled
+//! by [`Engine::enable_checkpointing`] and records every scheduler call
+//! so a restore can rebuild the scheduler by replay (schedulers are
+//! deterministic, RNG-free state machines).
 
 use crate::arena::{Arena, IdMap};
 use crate::config::SimConfig;
@@ -48,7 +50,7 @@ use crate::metrics::SimReport;
 use crate::snapshot::{DpnState, HistState, MetricsState, SchedOp, Snapshot};
 use bds_des::events::Scheduled;
 use bds_des::fcfs::FcfsServer;
-use bds_des::stats::{Histogram, TimeWeighted, Welford};
+use bds_des::stats::{TimeWeighted, Welford};
 use bds_des::time::{Duration, SimTime};
 use bds_des::EventQueue;
 use bds_fault::{DegradedMode, FaultAction};
@@ -62,6 +64,8 @@ use bds_workload::gen::WorkloadGen;
 use bds_workload::{BatchSpec, FileId};
 use bds_wtpg::TxnId;
 use std::collections::VecDeque;
+
+pub use bds_trace::AbortCause;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,99 +107,6 @@ pub(crate) enum Phase {
 pub(crate) enum WaitKind {
     Blocked,
     Delayed,
-}
-
-/// Why a transaction attempt was aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AbortCause {
-    /// OPT certification failed at commit.
-    Validation,
-    /// The scheduler ordered a restart (restart-oriented protocols).
-    Scheduler,
-    /// An injected fault (DPN crash) destroyed the attempt's cohorts.
-    Fault,
-}
-
-/// One externally visible consequence of processing an event, reported
-/// by [`Engine::step`] when effect collection is enabled.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Effect {
-    /// A transaction arrived (Poisson process or [`Engine::submit`]).
-    Arrived {
-        /// The arriving transaction.
-        txn: TxnId,
-    },
-    /// The scheduler admitted a queued transaction.
-    Admitted {
-        /// The admitted transaction.
-        txn: TxnId,
-    },
-    /// The scheduler refused admission (the transaction stays queued).
-    AdmitRefused {
-        /// The refused transaction.
-        txn: TxnId,
-    },
-    /// A lock request was granted.
-    Granted {
-        /// The requesting transaction.
-        txn: TxnId,
-        /// The step that requested the lock.
-        step: usize,
-        /// The file the lock covers.
-        file: FileId,
-    },
-    /// A lock request blocked on held locks.
-    Blocked {
-        /// The requesting transaction.
-        txn: TxnId,
-        /// The step that requested the lock.
-        step: usize,
-        /// The contended file.
-        file: FileId,
-    },
-    /// A lock request was delayed by scheduler policy.
-    Delayed {
-        /// The requesting transaction.
-        txn: TxnId,
-        /// The step that requested the lock.
-        step: usize,
-        /// The file in question.
-        file: FileId,
-    },
-    /// An aborted transaction re-entered the start queue.
-    RestartScheduled {
-        /// The restarting transaction.
-        txn: TxnId,
-    },
-    /// A transaction committed.
-    Committed {
-        /// The committed transaction.
-        txn: TxnId,
-    },
-    /// A transaction attempt was aborted.
-    Aborted {
-        /// The aborted transaction.
-        txn: TxnId,
-        /// Why the attempt died.
-        cause: AbortCause,
-    },
-    /// A transaction was dropped permanently (fault retry cap).
-    Killed {
-        /// The killed transaction.
-        txn: TxnId,
-    },
-    /// A fault-plan action fired.
-    Fault(FaultAction),
-}
-
-/// The result of one [`Engine::step`]: the event's timestamp plus the
-/// effects it produced (empty unless [`Engine::enable_effects`] ran).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StepEffects {
-    /// Simulated time of the processed event.
-    pub at: SimTime,
-    /// Externally visible consequences, in occurrence order.
-    pub effects: Vec<Effect>,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -247,10 +158,6 @@ pub struct Engine {
     cohort_owner: IdMap,
     live: TimeWeighted,
     rt: Welford,
-    /// Legacy 1-second-bin response-time histogram; allocated only under
-    /// `cfg.legacy_second_bin_percentiles` (the log-bucketed `rt_log`
-    /// serves percentiles otherwise).
-    rt_hist: Option<Histogram>,
     arrived: u64,
     started: u64,
     completed: u64,
@@ -309,9 +216,6 @@ pub struct Engine {
     /// Counter/busy-time snapshot at the previous metrics sample, for
     /// per-window rates and utilizations.
     metrics_prev: PrevSample,
-    /// Effect buffer for [`Engine::step`]; `None` (one branch per
-    /// emission site) unless [`Engine::enable_effects`] ran.
-    effects: Option<Vec<Effect>>,
     /// Scheduler op-log for [`Engine::snapshot`]; `None` (one branch
     /// per scheduler call) unless [`Engine::enable_checkpointing`] ran.
     oplog: Option<Vec<SchedOp>>,
@@ -419,11 +323,6 @@ impl Engine {
             cohort_owner: IdMap::new(),
             live: TimeWeighted::new(SimTime::ZERO, 0.0),
             rt: Welford::new(),
-            // 1-second buckets; only the legacy percentile engine reads
-            // it, so only then allocate.
-            rt_hist: cfg
-                .legacy_second_bin_percentiles
-                .then(|| Histogram::new(1.0, 4000)),
             arrived: 0,
             started: 0,
             completed: 0,
@@ -451,7 +350,6 @@ impl Engine {
             rt_log: LogHistogram::new(),
             metrics: Sampler::Off,
             metrics_prev: PrevSample::default(),
-            effects: None,
             oplog: None,
             obs: Profiler::Off,
             admission_hold: false,
@@ -526,15 +424,6 @@ impl Engine {
         self.obs.report()
     }
 
-    /// Collect [`Effect`]s for [`Engine::step`] from now on. Off by
-    /// default: bulk drivers never pay for effect construction beyond
-    /// one branch per emission site.
-    pub fn enable_effects(&mut self) {
-        if self.effects.is_none() {
-            self.effects = Some(Vec::new());
-        }
-    }
-
     /// Start recording the scheduler op-log that [`Engine::snapshot`]
     /// embeds. Must run before the first event so the replayed
     /// scheduler sees its complete call history.
@@ -554,15 +443,6 @@ impl Engine {
         );
         if self.oplog.is_none() {
             self.oplog = Some(Vec::new());
-        }
-    }
-
-    /// Push an effect when collection is enabled (one predictable
-    /// branch when off, like `Tracer::emit`).
-    #[inline(always)]
-    fn fx(&mut self, make: impl FnOnce() -> Effect) {
-        if let Some(buf) = &mut self.effects {
-            buf.push(make());
         }
     }
 
@@ -605,19 +485,23 @@ impl Engine {
     }
 
     /// Process exactly one event (the next one at or before the
-    /// horizon). Returns `None` when the run is over — queue drained or
-    /// next event past the horizon. Effects are reported only after
-    /// [`Engine::enable_effects`].
-    pub fn step(&mut self) -> Option<StepEffects> {
-        if let Some(buf) = &mut self.effects {
-            buf.clear();
-        }
-        let at = self.pump(self.horizon())?;
-        let effects = match &mut self.effects {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
-        };
-        Some(StepEffects { at, effects })
+    /// horizon) and return its timestamp. Returns `None` when the run is
+    /// over — queue drained or next event past the horizon.
+    pub fn step(&mut self) -> Option<SimTime> {
+        self.pump(self.horizon())
+    }
+
+    /// [`Engine::step`], appending the trace records the event produced
+    /// to `out`. The records come through a tap on the tracer that is
+    /// open only for this call, so nothing accumulates between calls;
+    /// an installed ring keeps recording underneath. The tap changes no
+    /// simulation state: precedence edges are drained from the
+    /// scheduler only when a ring is installed, exactly as without it.
+    pub fn step_records(&mut self, out: &mut Vec<Rec>) -> Option<SimTime> {
+        self.tracer.tap(std::mem::take(out));
+        let at = self.step();
+        *out = self.tracer.untap();
+        at
     }
 
     /// Process every event at or before `limit` (clamped to the
@@ -713,16 +597,6 @@ impl Engine {
         }
     }
 
-    /// Response-time quantile from the active percentile engine: the
-    /// log-bucketed histogram (≤ 1 % relative error) by default, or the
-    /// legacy 1-second-bin histogram under the compatibility flag.
-    fn rt_quantile(&self, q: f64) -> Option<f64> {
-        match &self.rt_hist {
-            Some(h) => h.quantile(q),
-            None => self.rt_log.quantile(q),
-        }
-    }
-
     // ----- accessors ---------------------------------------------------
 
     /// Per-DPN downtime accumulated up to `at` (nodes still down are
@@ -815,9 +689,9 @@ impl Engine {
             cn_utilization: self.cn.utilization(horizon),
             dpn_utilization: dpn_util,
             mean_live: self.live.average(horizon),
-            rt_p50_secs: self.rt_quantile(0.50),
-            rt_p90_secs: self.rt_quantile(0.90),
-            rt_p99_secs: self.rt_quantile(0.99),
+            rt_p50_secs: self.rt_log.quantile(0.50),
+            rt_p90_secs: self.rt_log.quantile(0.90),
+            rt_p99_secs: self.rt_log.quantile(0.99),
             queued_at_end: self.start_queue.len() as u64,
             events: self.events.events_processed(),
             lock_requests: self.lock_requests,
@@ -913,11 +787,11 @@ impl Engine {
     }
 
     /// Record precedence edges the scheduler decided since the last call.
-    /// Only drains the scheduler's constraint log when tracing is on, so
-    /// the serializability audit (which drains it itself) is unaffected
-    /// by untraced runs.
+    /// Only drains the scheduler's constraint log when a trace ring is
+    /// installed, so the serializability audit (which drains it itself)
+    /// is unaffected by untraced runs and by [`Engine::step_records`].
     fn trace_edges(&mut self) {
-        if !self.tracer.enabled() {
+        if !self.tracer.has_ring() {
             return;
         }
         self.op(|| SchedOp::Drain);
@@ -942,7 +816,6 @@ impl Engine {
                     at: now,
                     kind: EventKind::Restart { txn: id },
                 });
-                self.fx(|| Effect::RestartScheduled { txn: id });
                 self.start_queue.push_back(id);
                 self.try_admissions();
             }
@@ -990,7 +863,6 @@ impl Engine {
             at: now,
             kind: EventKind::Arrival { txn: id },
         });
-        self.fx(|| Effect::Arrived { txn: id });
         self.start_queue.push_back(id);
         id
     }
@@ -1051,7 +923,6 @@ impl Engine {
                         at: now,
                         kind: EventKind::Admit { txn: id },
                     });
-                    self.fx(|| Effect::Admitted { txn: id });
                     self.trace_edges();
                     let txn = self.txns.get_mut(id.0).expect("admitted unknown txn");
                     if !txn.ever_started {
@@ -1075,7 +946,6 @@ impl Engine {
                         at: now,
                         kind: EventKind::AdmitRefuse { txn: id, reason },
                     });
-                    self.fx(|| Effect::AdmitRefused { txn: id });
                     i += 1;
                     if costed_tests >= self.cfg.admission_scan_limit {
                         break;
@@ -1141,11 +1011,6 @@ impl Engine {
                         step: step as u32,
                         file,
                     },
-                });
-                self.fx(|| Effect::Granted {
-                    txn: id,
-                    step,
-                    file,
                 });
                 self.trace_edges();
                 if let Some(seq) = pending_seq {
@@ -1215,18 +1080,6 @@ impl Engine {
                             file,
                             reason,
                         },
-                    },
-                });
-                self.fx(|| match kind {
-                    WaitKind::Blocked => Effect::Blocked {
-                        txn: id,
-                        step,
-                        file,
-                    },
-                    WaitKind::Delayed => Effect::Delayed {
-                        txn: id,
-                        step,
-                        file,
                     },
                 });
                 match pending_seq {
@@ -1343,6 +1196,7 @@ impl Engine {
                     kind: EventKind::FaultInjected {
                         node: Some(node.0),
                         what: "link-loss",
+                        dur: Duration::ZERO,
                     },
                 });
                 deliver_at += link.redeliver_after;
@@ -1515,12 +1369,8 @@ impl Engine {
                 at: now,
                 kind: EventKind::Commit { txn: id },
             });
-            self.fx(|| Effect::Committed { txn: id });
             let rt_secs = now.since(txn.arrival).as_secs_f64();
             self.rt.push(rt_secs);
-            if let Some(h) = &mut self.rt_hist {
-                h.record(rt_secs);
-            }
             self.rt_log.record_secs(rt_secs);
             // Files the committed transaction touched (declared), even
             // if the scheduler held no lock on them (OPT): their
@@ -1556,9 +1406,8 @@ impl Engine {
         }
         self.tracer.emit(|| Rec {
             at: now,
-            kind: EventKind::Abort { txn: id },
+            kind: EventKind::Abort { txn: id, cause },
         });
-        self.fx(|| Effect::Aborted { txn: id, cause });
         let kills = if cause == AbortCause::Fault {
             let txn = self.txns.get_mut(id.0).expect("fault abort of unknown txn");
             txn.fault_kills += 1;
@@ -1605,7 +1454,6 @@ impl Engine {
                     attempts: kills,
                 },
             });
-            self.fx(|| Effect::Killed { txn: id });
             // Defensive: a killed transaction must not linger anywhere.
             self.pending.retain(|p| p.id != id);
         } else {
@@ -1629,7 +1477,6 @@ impl Engine {
 
     fn on_fault(&mut self, action: FaultAction) {
         let now = self.now();
-        self.fx(|| Effect::Fault(action));
         match action {
             FaultAction::CrashNode { node } => {
                 self.tracer.emit(|| Rec {
@@ -1637,6 +1484,7 @@ impl Engine {
                     kind: EventKind::FaultInjected {
                         node: Some(node),
                         what: "dpn-crash",
+                        dur: Duration::ZERO,
                     },
                 });
                 let n = node as usize;
@@ -1687,6 +1535,7 @@ impl Engine {
                     kind: EventKind::FaultInjected {
                         node: None,
                         what: "cn-stall",
+                        dur,
                     },
                 });
                 self.cn.stall_until(now + dur);
@@ -1817,9 +1666,9 @@ impl Engine {
 
     /// Capture the complete simulation state. Requires
     /// [`Engine::enable_checkpointing`] to have run before the first
-    /// event (the scheduler is captured as its op-log). The tracer and
-    /// effect buffer are *not* captured: both are observers, and a
-    /// restored engine starts with them off.
+    /// event (the scheduler is captured as its op-log). The tracer is
+    /// *not* captured: it is an observer, and a restored engine starts
+    /// with it off.
     ///
     /// # Panics
     /// Panics if checkpointing is not enabled.
@@ -1865,10 +1714,6 @@ impl Engine {
         txns.sort_by_key(|&(id, _)| id);
         let mut cohort_owner = self.cohort_owner.pairs();
         cohort_owner.sort_unstable();
-        let rt_hist = self
-            .rt_hist
-            .as_ref()
-            .map(|h| (h.width(), h.counts().to_vec(), h.overflow(), h.total()));
         let hist_state = |h: &LogHistogram| {
             let (counts, total, sum_ticks, min_ticks, max_ticks) = h.state();
             HistState {
@@ -1920,7 +1765,6 @@ impl Engine {
             cohort_owner,
             live: self.live,
             rt: self.rt,
-            rt_hist,
             arrived: self.arrived,
             started: self.started,
             completed: self.completed,
@@ -1965,7 +1809,7 @@ impl Engine {
     /// The restored engine continues byte-identically to the
     /// uninterrupted run. Checkpointing stays enabled (the op-log is
     /// carried over), so a snapshot of a restored run works too. The
-    /// tracer and effect buffer start off.
+    /// tracer starts off.
     ///
     /// # Panics
     /// Panics if `base` (with the snapshot's scheduler) does not match
@@ -2059,12 +1903,6 @@ impl Engine {
         }
         e.live = snap.live;
         e.rt = snap.rt;
-        e.rt_hist = snap
-            .rt_hist
-            .as_ref()
-            .map(|(width, counts, overflow, total)| {
-                Histogram::from_state(*width, counts.clone(), *overflow, *total)
-            });
         e.arrived = snap.arrived;
         e.started = snap.started;
         e.completed = snap.completed;

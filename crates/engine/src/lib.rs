@@ -4,9 +4,9 @@
 //! can be driven one event at a time. Three layers live here:
 //!
 //! * [`engine::Engine`] — the event core: [`engine::Engine::step`] pops
-//!   exactly one event and reports its externally visible
-//!   [`engine::Effect`]s (grants, blocks, restarts, commits, fault
-//!   transitions); [`engine::Engine::run_until`] and
+//!   exactly one event, and [`engine::Engine::step_records`] also hands
+//!   back the trace records it produced (grants, blocks, restarts,
+//!   commits, fault transitions); [`engine::Engine::run_until`] and
 //!   [`engine::Engine::run_to_horizon`] drive the same loop in bulk.
 //!   [`sim::Simulator`] is a thin adapter over it, so exactly one event
 //!   loop exists in the workspace.
@@ -36,7 +36,7 @@ pub mod sim;
 pub mod snapshot;
 
 pub use config::{SimConfig, WorkloadKind};
-pub use engine::{AbortCause, Effect, Engine, StepEffects};
+pub use engine::{AbortCause, Engine};
 pub use metrics::SimReport;
 pub use sim::Simulator;
 pub use snapshot::Snapshot;

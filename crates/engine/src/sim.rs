@@ -269,16 +269,55 @@ mod tests {
         let c = cfg(SchedulerKind::Gow).with_lambda(0.6);
         let bulk = Simulator::run(&c);
         let mut e = Engine::new(&c);
-        e.enable_effects();
         let mut steps = 0u64;
-        let mut effects = 0usize;
-        while let Some(se) = e.step() {
+        while e.step().is_some() {
             steps += 1;
-            effects += se.effects.len();
         }
         assert_eq!(e.report(), bulk);
         assert_eq!(steps, bulk.events);
-        assert!(effects > 0, "a loaded run must produce effects");
+
+        // The recording entry point under a ring tracer: same report,
+        // per-step records that concatenate to the ring's, and a ring
+        // identical to a traced bulk run's.
+        let mut traced = Engine::new(&c);
+        traced.set_tracer(Tracer::ring(Tracer::DEFAULT_CAPACITY));
+        traced.run_to_horizon();
+        let want = traced.take_trace().expect("ring installed");
+        let mut e = Engine::new(&c);
+        e.set_tracer(Tracer::ring(Tracer::DEFAULT_CAPACITY));
+        let mut records = Vec::new();
+        let mut steps = 0u64;
+        while e.step_records(&mut records).is_some() {
+            steps += 1;
+        }
+        assert_eq!(e.report(), bulk);
+        assert_eq!(steps, bulk.events);
+        let ring = e.take_trace().expect("ring survives the taps");
+        assert_eq!(ring.dropped, 0, "ring must hold the whole run");
+        assert_eq!(records, ring.records);
+        assert_eq!(ring, want);
+    }
+
+    #[test]
+    fn step_records_changes_no_state() {
+        // A tap without a ring must not drain the scheduler's constraint
+        // log: the op-log, the snapshot and the edges the
+        // serializability audit drains all match plain stepping.
+        let c = cfg(SchedulerKind::Gow).with_lambda(0.6);
+        let mut plain = Engine::new(&c);
+        let mut recorded = Engine::new(&c);
+        plain.enable_checkpointing();
+        recorded.enable_checkpointing();
+        let mut records = Vec::new();
+        while plain.step().is_some() {
+            assert!(recorded.step_records(&mut records).is_some());
+        }
+        assert!(recorded.step_records(&mut records).is_none());
+        assert!(!records.is_empty());
+        assert_eq!(plain.snapshot(), recorded.snapshot());
+        let edges = plain.drain_constraints();
+        assert!(!edges.is_empty(), "GOW orders conflicting transactions");
+        assert_eq!(edges, recorded.drain_constraints());
     }
 
     #[test]

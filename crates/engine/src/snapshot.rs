@@ -19,7 +19,8 @@
 //! decimal strings** and **all floats as `f64::to_bits` strings**:
 //! round-trips are exact to the bit, which the byte-identity guarantee
 //! requires. Booleans are JSON booleans; options are `null` or the
-//! value.
+//! value. The top-level `"v"` field names the format version; a parser
+//! refuses any other version.
 
 use crate::engine::{Event, PendingReq, Phase, PrevSample, Txn, WaitKind};
 use bds_des::stats::{TimeWeighted, Welford};
@@ -32,6 +33,9 @@ use bds_trace::json::{JsonArr, JsonObj};
 use bds_workload::spec::Access;
 use bds_workload::{BatchSpec, FileId, LockMode, Step};
 use bds_wtpg::TxnId;
+
+/// Wire-format version written to and required in `"v"`.
+const VERSION: &str = "2";
 
 /// One recorded scheduler call, replayed verbatim on restore.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,7 +112,6 @@ pub struct Snapshot {
     pub(crate) cohort_owner: Vec<(u64, u64)>,
     pub(crate) live: TimeWeighted,
     pub(crate) rt: Welford,
-    pub(crate) rt_hist: Option<(f64, Vec<u64>, u64, u64)>,
     pub(crate) arrived: u64,
     pub(crate) started: u64,
     pub(crate) completed: u64,
@@ -636,7 +639,7 @@ impl Snapshot {
     /// output is deterministic: equal snapshots produce equal bytes.
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
-        o.str("v", "1");
+        o.str("v", VERSION);
         o.str("cache_key", &self.cache_key);
         o.str("sched", &enc_kind(self.scheduler));
         o.str("label", &self.label);
@@ -737,17 +740,6 @@ impl Snapshot {
         o.raw("owner", &owner.finish());
         o.raw("live", &enc_tw(&self.live));
         o.raw("rt", &enc_welford(&self.rt));
-        match &self.rt_hist {
-            Some((width, counts, overflow, total)) => {
-                let mut oh = JsonObj::new();
-                oh.str("w", &fb(*width));
-                oh.raw("counts", &arr_u64(counts.iter().copied()));
-                oh.str("of", &overflow.to_string());
-                oh.str("tot", &total.to_string());
-                o.raw("rth", &oh.finish());
-            }
-            None => o.raw("rth", "null"),
-        }
         o.str("arrived", &self.arrived.to_string());
         o.str("started", &self.started.to_string());
         o.str("completed", &self.completed.to_string());
@@ -814,7 +806,7 @@ impl Snapshot {
     /// Returns a description of the first syntax or schema error.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
         let v = jsonv::parse(text)?;
-        if g_str(&v, "v")? != "1" {
+        if g_str(&v, "v")? != VERSION {
             return Err(format!(
                 "unsupported snapshot version '{}'",
                 g_str(&v, "v")?
@@ -904,15 +896,6 @@ impl Snapshot {
                 Ok((p_u64(&a[0])?, p_u64(&a[1])?))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let rt_hist = match field(&v, "rth")? {
-            JsonValue::Null => None,
-            h => Some((
-                p_f64(field(h, "w")?)?,
-                dec_u64_vec(field(h, "counts")?)?,
-                g_u64(h, "of")?,
-                g_u64(h, "tot")?,
-            )),
-        };
         let down_since = p_arr(field(&v, "dsince")?)?
             .iter()
             .map(|s| -> Result<Option<SimTime>, String> {
@@ -970,7 +953,6 @@ impl Snapshot {
             cohort_owner,
             live: dec_tw(field(&v, "live")?)?,
             rt: dec_welford(field(&v, "rt")?)?,
-            rt_hist,
             arrived: g_u64(&v, "arrived")?,
             started: g_u64(&v, "started")?,
             completed: g_u64(&v, "completed")?,
@@ -1050,5 +1032,17 @@ mod tests {
         assert!(Snapshot::from_json("not json").is_err());
         assert!(Snapshot::from_json("{}").is_err());
         assert!(Snapshot::from_json(r#"{"v":"99"}"#).is_err());
+    }
+
+    #[test]
+    fn from_json_refuses_version_1() {
+        let mut e = Engine::new(&cfg(SchedulerKind::Gow));
+        e.enable_checkpointing();
+        e.run_until(SimTime::from_millis(10_000));
+        let v2 = e.snapshot().to_json();
+        assert!(Snapshot::from_json(&v2).is_ok());
+        let v1 = v2.replacen(r#""v":"2""#, r#""v":"1""#, 1);
+        let err = Snapshot::from_json(&v1).expect_err("v1 must be refused");
+        assert!(err.contains("version '1'"), "{err}");
     }
 }

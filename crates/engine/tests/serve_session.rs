@@ -31,6 +31,11 @@ impl Serve {
 
     /// Send one request line, read one reply line, require `"ok":true`.
     fn send(&mut self, req: &str) -> JsonValue {
+        self.send_raw(req).1
+    }
+
+    /// [`Serve::send`], also returning the reply line as sent.
+    fn send_raw(&mut self, req: &str) -> (String, JsonValue) {
         writeln!(self.stdin, "{req}").expect("write request");
         self.stdin.flush().expect("flush request");
         let mut line = String::new();
@@ -41,7 +46,7 @@ impl Serve {
             Some(&JsonValue::Bool(true)),
             "request {req} failed: {line}"
         );
-        reply
+        (line, reply)
     }
 
     /// Send a streaming request: collect `{"watch":true,...}` delta
@@ -276,7 +281,7 @@ fn restored_session_finishes_identically() {
 #[test]
 fn configure_refuses_bad_input_and_stays_up() {
     let mut s = Serve::spawn();
-    s.send(r#"{"cmd":"configure","scheduler":"gow","horizon_s":60,"seed":1}"#);
+    s.send(r#"{"cmd":"configure","scheduler":"low","horizon_s":60,"seed":1}"#);
     // (request, substring the error must name)
     let cases = [
         (r#"{"cmd":"configure","mpl":0}"#, "mpl"),
@@ -294,6 +299,13 @@ fn configure_refuses_bad_input_and_stays_up() {
         (r#"{"cmd":"configure","profile":1}"#, "profile"),
         (r#"{"cmd":"configure","workload":"exp1:0"}"#, "file count"),
         (r#"{"cmd":"configure","bogus":1}"#, "bogus"),
+        // `submit` file ids must be integers naming one of the 16 files.
+        // Under LOW an id of 1e12 used to abort the whole server: the
+        // WTPG sizes per-file state by the largest id it sees.
+        (r#"{"cmd":"submit","steps":[["r",-1,100.0]]}"#, "file"),
+        (r#"{"cmd":"submit","steps":[["r",2.7,100.0]]}"#, "file"),
+        (r#"{"cmd":"submit","steps":[["r",16,100.0]]}"#, "file"),
+        (r#"{"cmd":"submit","steps":[["r",1e12,100.0]]}"#, "file"),
     ];
     for (req, needle) in cases {
         let msg = s.send_err(req);
@@ -306,6 +318,7 @@ fn configure_refuses_bad_input_and_stays_up() {
         let status = s.send(r#"{"cmd":"status"}"#);
         check_conserved(&status);
         assert_eq!(num(&status, "horizon_ms"), 60_000, "after {req}");
+        assert_eq!(num(&status, "arrived"), 0, "after {req}");
     }
     s.quit();
 }
@@ -472,4 +485,103 @@ fn tcp_listener_serves_the_same_protocol() {
 
     let status = child.wait().expect("wait");
     assert!(status.success(), "bds-serve exited with {status}");
+}
+
+/// FNV-1a 64-bit, dependency-free and stable across platforms.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a of every `step` reply below, concatenated in order. A change
+/// here means the `step` wire format (effect names, fields, order) moved.
+const STEP_REPLIES_FNV: u64 = 0x5247_9d35_2e24_968e;
+
+#[test]
+fn step_replies_are_pinned() {
+    // (configure, commands before stepping, step sizes). OPT produces
+    // validation aborts, C2PL blocks and delays, LOW refuses admission,
+    // and WDL under a crash + stall plan with retry cap 1 covers
+    // scheduler aborts, fault aborts, kills and every fault action.
+    let sessions: [(&str, &[&str], &[u64]); 4] = [
+        (
+            r#"{"cmd":"configure","scheduler":"opt","lambda":0.9,"horizon_s":300,"seed":3}"#,
+            &[r#"{"cmd":"run-until","t_ms":100000}"#],
+            &[1, 50, 400],
+        ),
+        (
+            r#"{"cmd":"configure","scheduler":"c2pl","lambda":0.8,"horizon_s":300,"seed":4}"#,
+            &[r#"{"cmd":"run-until","t_ms":100000}"#],
+            &[300],
+        ),
+        (
+            r#"{"cmd":"configure","scheduler":"low","lambda":0.8,"horizon_s":300,"seed":5}"#,
+            &[
+                r#"{"cmd":"submit","steps":[["r",3,1200.0],["w",7,600.0]]}"#,
+                r#"{"cmd":"run-until","t_ms":100000}"#,
+            ],
+            &[300],
+        ),
+        (
+            r#"{"cmd":"configure","scheduler":"wdl","lambda":0.8,"horizon_s":300,"seed":6,"faults":"crash=0@60x20,crash=1@60x20,crash=2@60x20,crash=3@60x20,stall=61x2,retry=1000:8000:1"}"#,
+            &[r#"{"cmd":"run-until","t_ms":59000}"#],
+            &[600, 200],
+        ),
+    ];
+    let mut replies = String::new();
+    for (configure, setup, steps) in sessions {
+        let mut s = Serve::spawn();
+        s.send(configure);
+        for req in setup {
+            s.send(req);
+        }
+        for n in steps {
+            let (line, reply) = s.send_raw(&format!(r#"{{"cmd":"step","n":{n}}}"#));
+            assert_eq!(num(&reply, "events"), *n, "{configure}: run ended early");
+            replies.push_str(&line);
+        }
+        // Stepping runs on the same loop as the bulk drivers.
+        check_conserved(&s.send(r#"{"cmd":"status"}"#));
+        s.quit();
+    }
+    for name in [
+        "arrived",
+        "admitted",
+        "admit-refused",
+        "granted",
+        "blocked",
+        "delayed",
+        "restart",
+        "committed",
+        "aborted",
+        "killed",
+        "fault",
+    ] {
+        assert!(
+            replies.contains(&format!(r#""e":"{name}""#)),
+            "no {name:?} effect in the scripted sessions"
+        );
+    }
+    for cause in ["validation", "scheduler", "fault"] {
+        assert!(
+            replies.contains(&format!(r#""cause":"{cause}""#)),
+            "no {cause:?} abort in the scripted sessions"
+        );
+    }
+    for action in ["crash", "recover", "stall-cn"] {
+        assert!(
+            replies.contains(&format!(r#""action":"{action}""#)),
+            "no {action:?} fault in the scripted sessions"
+        );
+    }
+    assert_eq!(
+        fnv1a(replies.as_bytes()),
+        STEP_REPLIES_FNV,
+        "step wire format changed ({} reply bytes)",
+        replies.len()
+    );
 }

@@ -221,13 +221,13 @@ pub fn chrome_trace(data: &TraceData) -> String {
             EventKind::Commit { txn } => {
                 events.raw(&instant("commit", CN_PID, tid_of(Some(txn)), at, ""));
             }
-            EventKind::Abort { txn } => {
+            EventKind::Abort { txn, .. } => {
                 events.raw(&instant("abort", CN_PID, tid_of(Some(txn)), at, ""));
             }
             EventKind::Restart { txn } => {
                 events.raw(&instant("restart", CN_PID, tid_of(Some(txn)), at, ""));
             }
-            EventKind::FaultInjected { node, what } => {
+            EventKind::FaultInjected { node, what, .. } => {
                 let mut a = JsonObj::new();
                 a.str("what", what);
                 let pid = match node {

@@ -8,7 +8,7 @@
 //! C2PL's `"predicted-deadlock"`, LOW's `"E(q)>E(p)"`, GOW's
 //! `"critical-path"`), so analyzers can attribute denied time to policy.
 
-use bds_des::time::SimTime;
+use bds_des::time::{Duration, SimTime};
 use bds_workload::FileId;
 use bds_wtpg::TxnId;
 
@@ -22,6 +22,17 @@ pub struct Rec {
     pub at: SimTime,
     /// What happened.
     pub kind: EventKind,
+}
+
+/// Why a transaction attempt was aborted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AbortCause {
+    /// OPT certification failed at commit.
+    Validation,
+    /// The scheduler ordered a restart (restart-oriented protocols).
+    Scheduler,
+    /// An injected fault (DPN crash) destroyed the attempt's cohorts.
+    Fault,
 }
 
 /// The payload of a trace record.
@@ -174,6 +185,8 @@ pub enum EventKind {
     Abort {
         /// The aborted transaction.
         txn: TxnId,
+        /// Why the attempt died.
+        cause: AbortCause,
     },
     /// The transaction re-entered the start queue after its restart
     /// delay.
@@ -188,6 +201,9 @@ pub enum EventKind {
         node: Option<u32>,
         /// What happened (`"dpn-crash"`, `"cn-stall"`, `"link-loss"`).
         what: &'static str,
+        /// How long the fault lasts when the action fixes it up front
+        /// (CN stalls); zero otherwise.
+        dur: Duration,
     },
     /// A transaction was dropped permanently after exhausting its
     /// fault-retry budget.
@@ -251,7 +267,7 @@ impl EventKind {
             | EventKind::Quantum { txn, .. }
             | EventKind::Certify { txn, .. }
             | EventKind::Commit { txn }
-            | EventKind::Abort { txn }
+            | EventKind::Abort { txn, .. }
             | EventKind::Restart { txn }
             | EventKind::TxnKilled { txn, .. } => Some(txn),
             EventKind::CnCpu { txn, .. } => txn,

@@ -28,6 +28,6 @@ pub mod sink;
 
 pub use analyze::{Analysis, Breakdown, CriticalPath, FileStats, TxnSpan};
 pub use chrome::chrome_trace;
-pub use event::{EventKind, Rec};
+pub use event::{AbortCause, EventKind, Rec};
 pub use json::{JsonArr, JsonObj};
 pub use sink::{Counts, NullSink, RingRecorder, TraceData, TraceSink, Tracer};

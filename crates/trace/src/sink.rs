@@ -6,7 +6,9 @@
 //! `dyn` call per event. The recording arm is a bounded in-memory ring
 //! ([`RingRecorder`]): when full, the oldest records are overwritten but
 //! the monotone [`Counts`] stay exact, so accounting cross-checks remain
-//! valid even for runs longer than the ring.
+//! valid even for runs longer than the ring. A short-lived tap
+//! ([`Tracer::tap`] … [`Tracer::untap`]) additionally copies records into
+//! a caller's buffer, e.g. the records of one engine step.
 
 use crate::event::{EventKind, Rec};
 
@@ -211,7 +213,7 @@ impl TraceSink for RingRecorder {
 }
 
 /// A completed trace: retained records (chronological) and exact counts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceData {
     /// Retained records in chronological order.
     pub records: Vec<Rec>,
@@ -231,6 +233,17 @@ pub enum Tracer {
     Off,
     /// Record into a bounded in-memory ring.
     Ring(Box<RingRecorder>),
+    /// Copy every record into a caller's buffer, and into the ring the
+    /// tap was laid over, if any (see [`Tracer::tap`]).
+    Tap(Box<Tap>),
+}
+
+/// An open tap: the caller's buffer plus the ring underneath, if any.
+/// Boxed so that [`Tracer`] stays two words and `Off` one compare.
+#[derive(Debug)]
+pub struct Tap {
+    out: Vec<Rec>,
+    ring: Option<Box<RingRecorder>>,
 }
 
 impl Tracer {
@@ -243,34 +256,85 @@ impl Tracer {
         Tracer::Ring(Box::new(RingRecorder::new(capacity)))
     }
 
-    /// Is tracing enabled?
+    /// Is tracing enabled (a ring, a tap, or both)?
     #[inline(always)]
     pub fn enabled(&self) -> bool {
         !matches!(self, Tracer::Off)
+    }
+
+    /// Is a ring recording, with or without a tap over it?
+    pub fn has_ring(&self) -> bool {
+        self.recorder().is_some()
+    }
+
+    fn recorder(&self) -> Option<&RingRecorder> {
+        match self {
+            Tracer::Off => None,
+            Tracer::Ring(r) => Some(r),
+            Tracer::Tap(t) => t.ring.as_deref(),
+        }
     }
 
     /// Emit an event. The closure runs only when tracing is enabled, so
     /// callers pay a single predictable branch when it is off.
     #[inline(always)]
     pub fn emit(&mut self, make: impl FnOnce() -> Rec) {
-        if let Tracer::Ring(r) = self {
-            r.record(make());
-        }
-    }
-
-    /// Current exact counters, if recording.
-    pub fn counts(&self) -> Option<Counts> {
         match self {
-            Tracer::Off => None,
-            Tracer::Ring(r) => Some(r.counts()),
+            Tracer::Off => {}
+            Tracer::Ring(r) => r.record(make()),
+            Tracer::Tap(t) => {
+                let rec = make();
+                if let Some(r) = &mut t.ring {
+                    r.record(rec);
+                }
+                t.out.push(rec);
+            }
         }
     }
 
-    /// Consume the tracer, yielding the recorded trace (if recording).
+    /// Open a tap: from now on every record is also appended to `out`
+    /// until [`Tracer::untap`] hands the buffer back. A ring already
+    /// installed keeps recording underneath.
+    ///
+    /// # Panics
+    /// Panics if a tap is already open.
+    pub fn tap(&mut self, out: Vec<Rec>) {
+        let ring = match std::mem::take(self) {
+            Tracer::Off => None,
+            Tracer::Ring(r) => Some(r),
+            Tracer::Tap(_) => panic!("tracer tap already open"),
+        };
+        *self = Tracer::Tap(Box::new(Tap { out, ring }));
+    }
+
+    /// Close the tap opened by [`Tracer::tap`], restoring the tracer it
+    /// was laid over and returning the buffer (empty when no tap was
+    /// open).
+    pub fn untap(&mut self) -> Vec<Rec> {
+        match std::mem::take(self) {
+            Tracer::Tap(t) => {
+                *self = t.ring.map_or(Tracer::Off, Tracer::Ring);
+                t.out
+            }
+            other => {
+                *self = other;
+                Vec::new()
+            }
+        }
+    }
+
+    /// Current exact counters, if a ring is recording.
+    pub fn counts(&self) -> Option<Counts> {
+        self.recorder().map(RingRecorder::counts)
+    }
+
+    /// Consume the tracer, yielding the ring's trace (if one is
+    /// recording).
     pub fn finish(self) -> Option<TraceData> {
         match self {
             Tracer::Off => None,
             Tracer::Ring(r) => Some(r.into_data()),
+            Tracer::Tap(t) => t.ring.map(|r| r.into_data()),
         }
     }
 }
@@ -330,6 +394,27 @@ mod tests {
         assert_eq!(data.records.len(), 2);
         assert_eq!(data.counts.certify_fail, 1);
         assert_eq!(data.dropped, 0);
+    }
+
+    #[test]
+    fn tap_copies_records_and_keeps_the_ring() {
+        let mut t = Tracer::Off;
+        t.tap(Vec::new());
+        assert!(t.enabled() && !t.has_ring());
+        t.emit(|| rec(1, EventKind::Arrival { txn: TxnId(1) }));
+        assert_eq!(t.untap().len(), 1);
+        assert!(!t.enabled(), "untap restores Off");
+
+        let mut t = Tracer::ring(8);
+        t.emit(|| rec(1, EventKind::Arrival { txn: TxnId(1) }));
+        t.tap(Vec::new());
+        assert!(t.has_ring());
+        t.emit(|| rec(2, EventKind::Commit { txn: TxnId(1) }));
+        let tapped = t.untap();
+        assert_eq!(tapped, vec![rec(2, EventKind::Commit { txn: TxnId(1) })]);
+        assert!(t.untap().is_empty(), "no tap open");
+        let data = t.finish().unwrap();
+        assert_eq!(data.records.len(), 2, "the ring saw both records");
     }
 
     #[test]
