@@ -15,8 +15,8 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -24,10 +24,10 @@ const BENCH_HORIZON_SECS: u64 = 200;
 const ITERS: u32 = 3;
 
 fn bench_sim(name: &str, cfg: &SimConfig) {
-    black_box(Simulator::run(cfg));
+    black_box(Engine::run(cfg));
     let start = Instant::now();
     for _ in 0..ITERS {
-        black_box(Simulator::run(cfg));
+        black_box(Engine::run(cfg));
     }
     let per = start.elapsed().as_secs_f64() * 1e3 / f64::from(ITERS);
     println!("{name:<44} {per:>12.2} ms/iter  ({ITERS} iters)");

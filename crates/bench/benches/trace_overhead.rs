@@ -8,7 +8,7 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::time::{Duration, SimTime};
-use batchsched::sim::Simulator;
+use batchsched::engine::Engine;
 use batchsched::trace::{EventKind, NullSink, Rec, RingRecorder, TraceSink, Tracer};
 use batchsched::wtpg::TxnId;
 use bds_sched::SchedulerKind;
@@ -88,10 +88,10 @@ fn bench_traced_sim() {
     cfg.lambda_tps = 1.1;
     cfg.horizon = Duration::from_secs(100);
     let t0 = Instant::now();
-    let plain = Simulator::run(&cfg);
+    let plain = Engine::run(&cfg);
     let off = t0.elapsed();
     let t1 = Instant::now();
-    let (traced, data) = Simulator::run_traced(&cfg, 1 << 22);
+    let (traced, data) = Engine::run_traced(&cfg, 1 << 22);
     let on = t1.elapsed();
     assert_eq!(plain, traced, "tracing perturbed the simulation");
     let events = data.counts.total();

@@ -79,11 +79,11 @@
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::time::SimTime;
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::experiments::{default_jobs, run_artifact_with, ExpOptions, ARTIFACT_IDS};
 use batchsched::fault::FaultPlan;
-use batchsched::metrics::JsonObj;
+use batchsched::metrics::{JsonObj, SimReport};
 use batchsched::parallel::{resolve_thread_budget, ExecCtx};
-use batchsched::sim::Simulator;
 use batchsched::trace::{chrome_trace, Analysis, EventKind, Rec, Tracer};
 use batchsched::wtpg::TxnId;
 use bds_metrics::{jsonv, PromText, Tolerances};
@@ -135,7 +135,7 @@ fn run_chaos(plan: &FaultPlan, opts: &ExpOptions, csv: bool, metrics_dir: Option
     }
     for kind in SchedulerKind::PAPER_SET {
         let cfg = traced_point(kind, opts).with_faults(plan.clone());
-        let mut sim = Simulator::new(&cfg);
+        let mut sim = Engine::new(&cfg);
         sim.set_metrics_interval(Duration::from_secs(5));
         sim.run_to_horizon();
         let report = sim.report();
@@ -175,11 +175,7 @@ fn run_chaos(plan: &FaultPlan, opts: &ExpOptions, csv: bool, metrics_dir: Option
             );
         }
         if let Some(dir) = metrics_dir {
-            let label = kind
-                .label()
-                .to_lowercase()
-                .replace("(k=", "_k")
-                .replace(')', "");
+            let label = file_stem(kind);
             let mut o = JsonObj::new();
             o.raw("report", &report.to_json());
             o.raw("series", &series.to_json());
@@ -261,15 +257,14 @@ fn run_scale_smoke() -> ! {
     );
     reset_peak_rss();
     let t0 = Instant::now();
-    let report = Simulator::run(&cfg);
+    let report = Engine::run(&cfg);
     let wall_secs = t0.elapsed().as_secs_f64();
     // Same run again, dispatched one event at a time through
     // `Engine::step` — the step-dispatch overhead budget is ≤ 2 %.
     let (step_wall_secs, step_overhead_pct) = {
-        use batchsched::engine::Engine;
         let measure = || {
             let tb = Instant::now();
-            let bulk = Simulator::run(&cfg);
+            let bulk = Engine::run(&cfg);
             let bulk_secs = tb.elapsed().as_secs_f64();
             let mut engine = Engine::new(&cfg);
             let ts = Instant::now();
@@ -364,6 +359,15 @@ fn run_scale_smoke() -> ! {
     std::process::exit(0);
 }
 
+/// File-name stem for a scheduler's exports: the lower-cased label,
+/// with `LOW(k=2)` written as `low_k2`.
+fn file_stem(kind: SchedulerKind) -> String {
+    kind.label()
+        .to_lowercase()
+        .replace("(k=", "_k")
+        .replace(')', "")
+}
+
 /// The traced Fig. 8 point: high contention, where the schedulers'
 /// wait-time anatomies differ the most.
 fn traced_point(kind: SchedulerKind, opts: &ExpOptions) -> SimConfig {
@@ -387,13 +391,9 @@ fn write_trace_exports(dir: &str, opts: &ExpOptions) {
     }
     for kind in SchedulerKind::PAPER_SET {
         let cfg = traced_point(kind, opts);
-        let (report, data) = Simulator::run_traced(&cfg, TRACE_CAPACITY);
+        let (report, data) = Engine::run_traced(&cfg, TRACE_CAPACITY);
         let analysis = Analysis::from_data(&data);
-        let label = kind
-            .label()
-            .to_lowercase()
-            .replace("(k=", "_k")
-            .replace(')', "");
+        let label = file_stem(kind);
         let chrome_path = format!("{dir}/fig8_{label}.chrome.json");
         let spans_path = format!("{dir}/fig8_{label}.spans.json");
         if let Err(e) = std::fs::write(&chrome_path, chrome_trace(&data)) {
@@ -430,17 +430,13 @@ fn write_metrics_exports(dir: &str, opts: &ExpOptions) {
     let mut pct_csv = String::from("scheduler,completed,mean_rt_secs,p50_secs,p90_secs,p99_secs\n");
     for kind in SchedulerKind::PAPER_SET {
         let cfg = traced_point(kind, opts);
-        let mut sim = Simulator::new(&cfg);
+        let mut sim = Engine::new(&cfg);
         sim.set_metrics_interval(dt);
         sim.run_to_horizon();
         let report = sim.report();
         let series = sim.take_metrics().expect("sampler was installed");
         let hist = sim.rt_histogram();
-        let label = kind
-            .label()
-            .to_lowercase()
-            .replace("(k=", "_k")
-            .replace(')', "");
+        let label = file_stem(kind);
 
         let mut prom = PromText::new();
         let labels: &[(&str, &str)] = &[("scheduler", &report.scheduler)];
@@ -546,7 +542,6 @@ fn write_metrics_exports(dir: &str, opts: &ExpOptions) {
 /// the phase-attribution profile JSON, the wall-clock Chrome trace, and
 /// the Prometheus exposition into `dir`.
 fn write_profile_exports(dir: &str, opts: &ExpOptions) {
-    use batchsched::engine::Engine;
     use batchsched::obs::Profiler;
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("error: could not create profile dir '{dir}': {e}");
@@ -582,11 +577,7 @@ fn write_profile_exports(dir: &str, opts: &ExpOptions) {
         engine.run_to_horizon();
         let report = engine.report();
         let prof = engine.take_profile().expect("profiler was installed");
-        let label = kind
-            .label()
-            .to_lowercase()
-            .replace("(k=", "_k")
-            .replace(')', "");
+        let label = file_stem(kind);
         let top = prof
             .phase_shares()
             .into_iter()
@@ -648,10 +639,10 @@ fn measure_trace_overhead(bench: &mut JsonObj) {
     cfg.lambda_tps = 1.1;
     cfg.horizon = Duration::from_secs(200);
     let t0 = Instant::now();
-    let plain = Simulator::run(&cfg);
+    let plain = Engine::run(&cfg);
     let off_secs = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let (traced, data) = Simulator::run_traced(&cfg, 1 << 22);
+    let (traced, data) = Engine::run_traced(&cfg, 1 << 22);
     let on_secs = t1.elapsed().as_secs_f64();
     assert_eq!(
         plain.to_json(),
@@ -726,44 +717,60 @@ fn measure_event_queue(bench: &mut JsonObj) {
     bench.raw("event_queue", &o.finish());
 }
 
-/// Measure step-dispatch overhead: drive the identical fixed point once
-/// through the bulk `run_to_horizon` loop and once one event at a time
-/// through `Engine::step`, and charge the difference per event. The
-/// reports must be byte-identical (there is only one event loop); the
-/// budget for the dispatch overhead is ≤ 2 % (gated via the `_pct`
-/// classification in `benchdiff`).
-fn measure_step_overhead(bench: &mut JsonObj) {
-    use batchsched::engine::Engine;
+/// Time a variant way of driving the C2PL Fig. 8 point (Exp. 1, 16
+/// files, λ = 1.1, 2000 s horizon) against the plain bulk run. After
+/// one warm-up run, both paths are timed three times, interleaved, and
+/// the minimum of each is kept: the quantity of interest is the
+/// variant's extra host cost, and minima damp the scheduler jitter of a
+/// shared machine far better than single runs (observed run-to-run
+/// spread is ±5 %). `variant` drives a fresh engine to the horizon; its
+/// report must be byte-identical to the plain one (`what` names the
+/// variant if not). Returns the plain and variant minima, the plain
+/// report and the last variant engine.
+fn time_against_plain(
+    what: &str,
+    mut variant: impl FnMut(&mut Engine),
+) -> (f64, f64, SimReport, Engine) {
     let mut cfg = SimConfig::new(SchedulerKind::C2pl, WorkloadKind::Exp1 { num_files: 16 });
     cfg.lambda_tps = 1.1;
     // Long enough (~15k events) that dispatch cost dominates timer
     // granularity; still a few tens of milliseconds per pass.
     cfg.horizon = Duration::from_secs(2_000);
-    // Warm both paths once, then take the minimum of three interleaved
-    // measurements per path: the quantity of interest is dispatch cost,
-    // and minima damp the scheduler-jitter of a shared machine far
-    // better than single runs (observed run-to-run spread is ±5 %).
-    let mut bulk_secs = f64::INFINITY;
-    let mut step_secs = f64::INFINITY;
-    let mut bulk = Simulator::run(&cfg);
-    let mut events = 0u64;
+    let mut plain_secs = f64::INFINITY;
+    let mut variant_secs = f64::INFINITY;
+    let mut plain = Engine::run(&cfg);
+    let mut engine = Engine::new(&cfg);
     for _ in 0..3 {
         let t0 = Instant::now();
-        bulk = Simulator::run(&cfg);
-        bulk_secs = bulk_secs.min(t0.elapsed().as_secs_f64());
-        let mut engine = Engine::new(&cfg);
+        plain = Engine::run(&cfg);
+        plain_secs = plain_secs.min(t0.elapsed().as_secs_f64());
+        engine = Engine::new(&cfg);
         let t1 = Instant::now();
-        events = 0;
-        while engine.step().is_some() {
-            events += 1;
-        }
-        step_secs = step_secs.min(t1.elapsed().as_secs_f64());
+        variant(&mut engine);
+        variant_secs = variant_secs.min(t1.elapsed().as_secs_f64());
         assert_eq!(
             engine.report().to_json(),
-            bulk.to_json(),
-            "stepping perturbed the simulation"
+            plain.to_json(),
+            "{what} perturbed the simulation"
         );
     }
+    (plain_secs, variant_secs, plain, engine)
+}
+
+/// Measure step-dispatch overhead: drive the fixed point once through
+/// the bulk `run_to_horizon` loop and once one event at a time through
+/// `Engine::step`, and charge the difference per event. The reports
+/// must be byte-identical (there is only one event loop); the budget
+/// for the dispatch overhead is ≤ 2 % (gated via the `_pct`
+/// classification in `benchdiff`).
+fn measure_step_overhead(bench: &mut JsonObj) {
+    let mut events = 0u64;
+    let (bulk_secs, step_secs, bulk, _) = time_against_plain("stepping", |e| {
+        events = 0;
+        while e.step().is_some() {
+            events += 1;
+        }
+    });
     assert_eq!(events, bulk.events);
     let overhead_pct = (step_secs - bulk_secs) / bulk_secs * 100.0;
     let ns_per_event = (step_secs - bulk_secs).max(0.0) * 1e9 / events as f64;
@@ -779,39 +786,19 @@ fn measure_step_overhead(bench: &mut JsonObj) {
     );
 }
 
-/// Measure host-profiler overhead: the identical fixed point once plain
-/// and once with the profiler installed, min of three interleaved
-/// passes (same jitter-damping rationale as `measure_step_overhead`).
-/// The reports must be byte-identical — probes never touch simulation
-/// state — and the profiled-path budget is ≤ 2 %, gated via the `_pct`
-/// classification in `benchdiff` exactly like step dispatch.
+/// Measure host-profiler overhead: the fixed point once plain and once
+/// with the profiler installed. The reports must be byte-identical —
+/// probes never touch simulation state — and the profiled-path budget
+/// is ≤ 2 %, gated via the `_pct` classification in `benchdiff`
+/// exactly like step dispatch.
 fn measure_obs_overhead(bench: &mut JsonObj) {
-    use batchsched::engine::Engine;
     use batchsched::obs::Profiler;
-    let mut cfg = SimConfig::new(SchedulerKind::C2pl, WorkloadKind::Exp1 { num_files: 16 });
-    cfg.lambda_tps = 1.1;
-    cfg.horizon = Duration::from_secs(2_000);
-    let mut plain_secs = f64::INFINITY;
-    let mut prof_secs = f64::INFINITY;
-    let mut plain = Simulator::run(&cfg); // warm both paths once
-    let mut probes = 0u64;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        plain = Simulator::run(&cfg);
-        plain_secs = plain_secs.min(t0.elapsed().as_secs_f64());
-        let mut engine = Engine::new(&cfg);
-        engine.set_profiler(Profiler::on());
-        let t1 = Instant::now();
-        engine.run_to_horizon();
-        prof_secs = prof_secs.min(t1.elapsed().as_secs_f64());
-        assert_eq!(
-            engine.report().to_json(),
-            plain.to_json(),
-            "profiling perturbed the simulation"
-        );
-        let prof = engine.take_profile().expect("profiler was installed");
-        probes = prof.phases.iter().map(|p| p.count).sum();
-    }
+    let (plain_secs, prof_secs, plain, mut engine) = time_against_plain("profiling", |e| {
+        e.set_profiler(Profiler::on());
+        e.run_to_horizon();
+    });
+    let prof = engine.take_profile().expect("profiler was installed");
+    let probes: u64 = prof.phases.iter().map(|p| p.count).sum();
     let overhead_pct = (prof_secs - plain_secs) / plain_secs * 100.0;
     let mut o = JsonObj::new();
     o.num("plain_secs", plain_secs);
@@ -839,7 +826,7 @@ fn measure_scheduler_wallclock(bench: &mut JsonObj) {
         cfg.horizon = Duration::from_secs(200);
         let label = kind.label();
         let t0 = Instant::now();
-        let report = Simulator::run(&cfg);
+        let report = Engine::run(&cfg);
         let secs = t0.elapsed().as_secs_f64();
         let mut o = JsonObj::new();
         o.str("scheduler", &label);

@@ -184,7 +184,7 @@ pub fn run_all_with(opts: &ExpOptions, ctx: &ExecCtx) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::engine::Engine;
 
     fn quick() -> ExpOptions {
         let mut o = ExpOptions::quick();
@@ -206,7 +206,7 @@ mod tests {
         let mut cfg = SimConfig::new(SchedulerKind::Wdl, WorkloadKind::Exp1 { num_files: 16 });
         cfg.lambda_tps = 0.5;
         cfg.horizon = Duration::from_secs(400);
-        let r = Simulator::run(&cfg);
+        let r = Engine::run(&cfg);
         assert!(r.completed > 100, "WDL completed only {}", r.completed);
         // Under contention WDL must actually restart sometimes.
         assert!(r.restarts > 0, "WDL never restarted at λ=0.5");

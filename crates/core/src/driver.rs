@@ -11,7 +11,7 @@
 //! Every driver takes an [`ExecCtx`]: points are memoized in its
 //! [`PointCache`](crate::parallel::PointCache), so bisection endpoints,
 //! the final report, and any point another artifact already simulated
-//! cost one `Simulator::run` per distinct config, total. λ-sweeps fan
+//! cost one `Engine::run` per distinct config, total. λ-sweeps fan
 //! out across the context's worker threads.
 
 use std::sync::Arc;

@@ -11,7 +11,7 @@
 //!
 //! * [`config::SimConfig`] — one simulation point (scheduler × workload ×
 //!   arrival rate × degree of declustering × seed).
-//! * [`sim::Simulator`] — the event loop: Poisson arrivals at the control
+//! * [`engine::Engine`] — the event loop: Poisson arrivals at the control
 //!   node, admission, file-level lock scheduling, cohort execution on the
 //!   DPNs' round-robin servers, two-phase-commit cost accounting.
 //! * [`metrics::SimReport`] — mean response time, throughput,
@@ -22,7 +22,7 @@
 //!   Tables 2–5), and [`ablations`] — sweeps of the design knobs plus a
 //!   wait-depth-limited extension scheduler.
 //! * [`telemetry`] (the `bds-metrics` crate) — sim-time series sampling
-//!   ([`sim::Simulator::run_with_metrics`]), the log-bucketed
+//!   ([`engine::Engine::run_with_metrics`]), the log-bucketed
 //!   response-time histogram behind `rt_p50/p90/p99`, Prometheus/CSV/
 //!   JSON exporters, and the `benchdiff` bench regression gate.
 //!
@@ -30,14 +30,14 @@
 //!
 //! ```
 //! use batchsched::config::{SimConfig, WorkloadKind};
-//! use batchsched::sim::Simulator;
+//! use batchsched::engine::Engine;
 //! use bds_sched::SchedulerKind;
 //!
 //! let mut cfg = SimConfig::new(SchedulerKind::Low(2), WorkloadKind::Exp1 { num_files: 16 });
 //! cfg.lambda_tps = 0.6;
 //! cfg.dd = 2;
 //! cfg.horizon = bds_des::Duration::from_secs(2_000);
-//! let report = Simulator::run(&cfg);
+//! let report = Engine::run(&cfg);
 //! assert!(report.completed > 0);
 //! assert!(report.mean_rt_secs() > 0.0);
 //! ```
@@ -54,12 +54,11 @@ pub mod report;
 // The simulator core (config, event loop, report types) lives in the
 // `bds-engine` crate since the step-engine refactor; re-export its
 // modules under their historical paths so downstream code is unchanged.
-pub use bds_engine::{config, metrics, sim};
+pub use bds_engine::{config, metrics};
 
 pub use config::{SimConfig, WorkloadKind};
 pub use metrics::SimReport;
 pub use parallel::{resolve_thread_budget, ExecCtx, PointCache};
-pub use sim::Simulator;
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.

@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::config::SimConfig;
+use crate::engine::Engine;
 use crate::metrics::SimReport;
-use crate::sim::Simulator;
 
 /// State of one memoized point.
 enum Slot {
@@ -51,7 +51,7 @@ pub struct PointCache {
 }
 
 /// Removes an in-flight marker if the owning thread panics inside
-/// `Simulator::run`, so waiters retry instead of hanging.
+/// `Engine::run`, so waiters retry instead of hanging.
 struct InFlightGuard<'a> {
     cache: &'a PointCache,
     key: &'a str,
@@ -101,7 +101,7 @@ impl PointCache {
             key: &key,
             armed: true,
         };
-        let report = Arc::new(Simulator::run(cfg));
+        let report = Arc::new(Engine::run(cfg));
         guard.armed = false;
         drop(guard);
         self.runs.fetch_add(1, Ordering::Relaxed);
@@ -112,7 +112,7 @@ impl PointCache {
         report
     }
 
-    /// Number of actual `Simulator::run` invocations performed.
+    /// Number of actual `Engine::run` invocations performed.
     pub fn sim_runs(&self) -> u64 {
         self.runs.load(Ordering::Relaxed)
     }

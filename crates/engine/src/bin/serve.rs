@@ -25,7 +25,9 @@
 //! Bad input is refused with `"ok":false` and leaves the session as it
 //! was: `configure` rejects unknown keys, non-integral or out-of-range
 //! integers and an `mpl` of 0; `submit` rejects a step `file` that is
-//! not an integer naming one of the workload's files. `configure`
+//! not an integer naming one of the workload's files; `restore` rejects
+//! a snapshot that [`bds_engine::Snapshot::check_restore`] refuses under
+//! the configured base. `configure`
 //! accepts `scheduler`, `workload`, `lambda`, `dd`, `horizon_s`, `seed`,
 //! `mpl`, `faults`, `metrics_dt_ms` and `profile`. The engine runs every
 //! session on one serial event loop.
@@ -558,13 +560,7 @@ impl Session {
             .cfg
             .as_ref()
             .ok_or("no session: send configure first (it sets the base config)")?;
-        // The restored run keeps the snapshot's scheduler; everything
-        // else must match the configured base exactly.
-        let mut check = base.clone();
-        check.scheduler = snap.scheduler();
-        if check.cache_key() != snap.cache_key() {
-            return Err("snapshot was taken under a different configuration".into());
-        }
+        snap.check_restore(base)?;
         // Carry the session's profiler across the rebuild so a watch or
         // profile spanning a restore keeps one continuous timeline (the
         // rebuild itself lands in the `restore` phase).

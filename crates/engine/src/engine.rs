@@ -25,18 +25,20 @@
 //! defers only the transaction's own progress), which keeps the
 //! simulation deterministic.
 //!
-//! ## Engine vs. Simulator
+//! ## Driving the loop
 //!
 //! [`Engine`] owns the single event loop. [`Engine::step`] pops exactly
 //! one event; [`Engine::step_records`] does the same and hands back the
 //! trace records that event produced; [`Engine::run_until`] and
 //! [`Engine::run_to_horizon`] drive the same internal `pump` in bulk.
-//! The historical [`crate::sim::Simulator`] API is a thin adapter over
-//! an `Engine`.
+//! [`Engine::run`], [`Engine::run_traced`] and
+//! [`Engine::run_with_metrics`] build an engine, run it to the horizon
+//! and return the report (plus the trace or series).
 //!
-//! Three optional observers ride on the hot loop, each costing one
+//! Four optional observers ride on the hot loop, each costing one
 //! predictable branch when off (the same pattern as `bds-trace`'s
-//! `Tracer`): the tracer, the metrics sampler, and the scheduler op-log.
+//! `Tracer`): the tracer, the metrics sampler, the host-side profiler
+//! and the scheduler op-log.
 //! The tracer is the one lifecycle stream: every externally visible fact
 //! (arrival, admission, grant, block, commit, abort, fault) is emitted
 //! once, as a [`Rec`]. The op-log behind [`Engine::snapshot`] is enabled
@@ -531,6 +533,39 @@ impl Engine {
         if self.metrics.due(horizon) {
             self.sample_metrics(horizon);
         }
+    }
+
+    /// Run to the horizon and report.
+    pub fn run(cfg: &SimConfig) -> SimReport {
+        let mut sim = Engine::new(cfg);
+        sim.run_to_horizon();
+        sim.report()
+    }
+
+    /// Run with a ring-buffer tracer of the given capacity and return
+    /// both the report and the captured trace. The report is
+    /// byte-identical to an untraced [`Engine::run`] of the same
+    /// configuration — tracing only observes.
+    pub fn run_traced(cfg: &SimConfig, capacity: usize) -> (SimReport, TraceData) {
+        let mut sim = Engine::new(cfg);
+        sim.set_tracer(Tracer::ring(capacity));
+        sim.run_to_horizon();
+        let report = sim.report();
+        let data = sim.take_trace().expect("ring tracer was installed");
+        (report, data)
+    }
+
+    /// Run with time-series sampling every `dt` of simulated time,
+    /// returning the report and the sampled series. The report is
+    /// byte-identical to an unsampled [`Engine::run`] of the same
+    /// configuration — sampling only observes.
+    pub fn run_with_metrics(cfg: &SimConfig, dt: Duration) -> (SimReport, TimeSeries) {
+        let mut sim = Engine::new(cfg);
+        sim.set_metrics_interval(dt);
+        sim.run_to_horizon();
+        let report = sim.report();
+        let series = sim.take_metrics().expect("sampler was installed");
+        (report, series)
     }
 
     /// Record one row per unsampled grid point `≤ upto` (the state seen
@@ -1048,7 +1083,7 @@ impl Engine {
                 if let Some(seq) = pending_seq {
                     self.remove_pending(seq);
                 }
-                self.restart_txn(id);
+                self.abort_txn(id, AbortCause::Scheduler);
                 false
             }
             ReqDecision::Blocked | ReqDecision::Delayed => {
@@ -1468,11 +1503,6 @@ impl Engine {
         self.released_buf = released;
     }
 
-    /// Legacy entry point: abort with the scheduler cause.
-    fn restart_txn(&mut self, id: TxnId) {
-        self.abort_txn(id, AbortCause::Scheduler);
-    }
-
     // ----- fault injection --------------------------------------------
 
     fn on_fault(&mut self, action: FaultAction) {
@@ -1812,17 +1842,13 @@ impl Engine {
     /// tracer starts off.
     ///
     /// # Panics
-    /// Panics if `base` (with the snapshot's scheduler) does not match
-    /// the snapshot's configuration cache key, or if the snapshot's
-    /// generator cursor does not fit the configured workload.
+    /// Panics if [`Snapshot::check_restore`] rejects the snapshot under
+    /// `base`.
     pub fn restore(base: &SimConfig, snap: &Snapshot) -> Engine {
+        snap.check_restore(base)
+            .expect("snapshot cannot be restored");
         let mut cfg = base.clone();
         cfg.scheduler = snap.scheduler;
-        assert_eq!(
-            cfg.cache_key(),
-            snap.cache_key,
-            "snapshot was taken under a different configuration"
-        );
         let mut e = Engine::new(&cfg);
         e.events = EventQueue::from_snapshot(
             snap.now,
@@ -1881,10 +1907,9 @@ impl Engine {
         e.scheduler = sched;
         e.arrivals =
             PoissonArrivals::from_state(cfg.lambda_tps, snap.arrivals_rng, snap.arrivals_next);
-        assert!(
-            e.genr.load_cursor(&snap.gen_cursor),
-            "workload-generator cursor does not match the configured workload"
-        );
+        // `check_restore` loaded this cursor into a fresh generator, so
+        // the load cannot fail.
+        e.genr.load_cursor(&snap.gen_cursor);
         e.txns = Arena::new();
         // Insertion order differs from the original run's, which is
         // safe: the arena is never iterated order-sensitively (only the
@@ -1952,5 +1977,177 @@ impl Engine {
         }
         e.oplog = Some(snap.oplog.clone());
         e
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::WorkloadKind;
+    use bds_des::time::Duration;
+    use bds_sched::SchedulerKind;
+
+    fn cfg(kind: SchedulerKind) -> SimConfig {
+        let mut c = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
+        c.horizon = Duration::from_secs(200_000 / 1000); // 200 s
+        c.lambda_tps = 0.5;
+        c
+    }
+
+    #[test]
+    fn nodc_light_load_rt_matches_service_time() {
+        // At a very light load with DD = 1 the response time is just the
+        // sum of per-step scans (7.2 s) plus small CN costs.
+        let mut c = cfg(SchedulerKind::Nodc);
+        c.lambda_tps = 0.02;
+        c.horizon = Duration::from_secs(2000);
+        let r = Engine::run(&c);
+        assert!(r.completed >= 20, "completed {}", r.completed);
+        let rt = r.mean_rt_secs();
+        assert!(
+            (rt - 7.2).abs() < 0.3,
+            "light-load RT should be ≈ 7.2 s, got {rt}"
+        );
+    }
+
+    #[test]
+    fn nodc_dd8_light_load_speedup() {
+        // With DD = 8 every scan runs 8-way parallel: RT ≈ 7.2/8 ≈ 0.9 s.
+        let mut c = cfg(SchedulerKind::Nodc);
+        c.lambda_tps = 0.02;
+        c.dd = 8;
+        c.horizon = Duration::from_secs(2000);
+        let r = Engine::run(&c);
+        let rt = r.mean_rt_secs();
+        assert!(rt < 1.2, "DD=8 light-load RT should be ≈ 0.9 s, got {rt}");
+    }
+
+    #[test]
+    fn determinism_same_seed_same_report() {
+        let c = cfg(SchedulerKind::Low(2)).with_lambda(0.6);
+        let a = Engine::run(&c);
+        let b = Engine::run(&c);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let c = cfg(SchedulerKind::C2pl).with_lambda(0.6);
+        let a = Engine::run(&c);
+        let b = Engine::run(&c.clone().with_seed(123));
+        assert_ne!(a.completed, b.completed);
+    }
+
+    #[test]
+    fn all_schedulers_complete_work() {
+        for kind in SchedulerKind::PAPER_SET {
+            let c = cfg(kind).with_lambda(0.4);
+            let r = Engine::run(&c);
+            // OPT genuinely thrashes under this contention level (the
+            // paper's Fig. 8 shows it saturating first), so only demand
+            // meaningful forward progress.
+            assert!(
+                r.completed > r.arrived / 4,
+                "{kind}: completed only {} of {}",
+                r.completed,
+                r.arrived
+            );
+            assert!(r.mean_rt_secs() > 0.0);
+        }
+    }
+
+    #[test]
+    fn mpl_caps_live_transactions() {
+        let c = cfg(SchedulerKind::C2pl).with_lambda(1.2).with_mpl(4);
+        let r = Engine::run(&c);
+        assert!(r.mean_live <= 4.01, "mean live {} exceeds mpl", r.mean_live);
+    }
+
+    #[test]
+    fn overload_grows_queue() {
+        // λ beyond capacity (≈ 1.11 TPS for Pattern 1 on 8 nodes): the
+        // backlog at the horizon must be substantial under NODC.
+        let mut c = cfg(SchedulerKind::Nodc);
+        c.lambda_tps = 1.4;
+        c.horizon = Duration::from_secs(2000);
+        let r = Engine::run(&c);
+        assert!(
+            r.arrived > r.completed + 100,
+            "arrived {} completed {}",
+            r.arrived,
+            r.completed
+        );
+        assert!(r.dpn_utilization > 0.9, "dpn {}", r.dpn_utilization);
+    }
+
+    #[test]
+    fn engine_step_matches_bulk_run() {
+        // Driving the engine one event at a time produces the identical
+        // report to the bulk run — there is only one event loop.
+        let c = cfg(SchedulerKind::Gow).with_lambda(0.6);
+        let bulk = Engine::run(&c);
+        let mut e = Engine::new(&c);
+        let mut steps = 0u64;
+        while e.step().is_some() {
+            steps += 1;
+        }
+        assert_eq!(e.report(), bulk);
+        assert_eq!(steps, bulk.events);
+
+        // The recording entry point under a ring tracer: same report,
+        // per-step records that concatenate to the ring's, and a ring
+        // identical to a traced bulk run's.
+        let mut traced = Engine::new(&c);
+        traced.set_tracer(Tracer::ring(Tracer::DEFAULT_CAPACITY));
+        traced.run_to_horizon();
+        let want = traced.take_trace().expect("ring installed");
+        let mut e = Engine::new(&c);
+        e.set_tracer(Tracer::ring(Tracer::DEFAULT_CAPACITY));
+        let mut records = Vec::new();
+        let mut steps = 0u64;
+        while e.step_records(&mut records).is_some() {
+            steps += 1;
+        }
+        assert_eq!(e.report(), bulk);
+        assert_eq!(steps, bulk.events);
+        let ring = e.take_trace().expect("ring survives the taps");
+        assert_eq!(ring.dropped, 0, "ring must hold the whole run");
+        assert_eq!(records, ring.records);
+        assert_eq!(ring, want);
+    }
+
+    #[test]
+    fn step_records_changes_no_state() {
+        // A tap without a ring must not drain the scheduler's constraint
+        // log: the op-log, the snapshot and the edges the
+        // serializability audit drains all match plain stepping.
+        let c = cfg(SchedulerKind::Gow).with_lambda(0.6);
+        let mut plain = Engine::new(&c);
+        let mut recorded = Engine::new(&c);
+        plain.enable_checkpointing();
+        recorded.enable_checkpointing();
+        let mut records = Vec::new();
+        while plain.step().is_some() {
+            assert!(recorded.step_records(&mut records).is_some());
+        }
+        assert!(recorded.step_records(&mut records).is_none());
+        assert!(!records.is_empty());
+        assert_eq!(plain.snapshot(), recorded.snapshot());
+        let edges = plain.drain_constraints();
+        assert!(!edges.is_empty(), "GOW orders conflicting transactions");
+        assert_eq!(edges, recorded.drain_constraints());
+    }
+
+    #[test]
+    fn run_until_interleaving_matches_bulk_run() {
+        let c = cfg(SchedulerKind::C2pl).with_lambda(0.6);
+        let bulk = Engine::run(&c);
+        let mut e = Engine::new(&c);
+        let mut n = 0u64;
+        for ms in [10_000u64, 50_000, 120_000, 200_000] {
+            n += e.run_until(SimTime::from_millis(ms));
+        }
+        assert_eq!(e.report(), bulk);
+        assert_eq!(n, bulk.events);
     }
 }

@@ -7,9 +7,9 @@
 //!   exactly one event, and [`engine::Engine::step_records`] also hands
 //!   back the trace records it produced (grants, blocks, restarts,
 //!   commits, fault transitions); [`engine::Engine::run_until`] and
-//!   [`engine::Engine::run_to_horizon`] drive the same loop in bulk.
-//!   [`sim::Simulator`] is a thin adapter over it, so exactly one event
-//!   loop exists in the workspace.
+//!   [`engine::Engine::run_to_horizon`] drive the same loop in bulk,
+//!   and [`engine::Engine::run`] wraps build, run and report in one
+//!   call. Exactly one event loop exists in the workspace.
 //! * **Checkpoint/restore** — [`engine::Engine::snapshot`] captures the
 //!   complete simulation state (timing wheel, transaction arena, RNG
 //!   streams, scheduler op-log, metrics cursors) into a [`Snapshot`]
@@ -21,9 +21,9 @@
 //!   run-until / snapshot / restore / scheduler hot-swap / metrics
 //!   streaming on top of a long-lived engine.
 //!
-//! The simulator-facing modules [`config`], [`metrics`] and [`sim`]
-//! moved here from the `batchsched` crate, which re-exports them under
-//! their old paths.
+//! The simulator-facing modules [`config`] and [`metrics`] moved here
+//! from the `batchsched` crate, which re-exports them under their old
+//! paths.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,11 +32,9 @@ pub(crate) mod arena;
 pub mod config;
 pub mod engine;
 pub mod metrics;
-pub mod sim;
 pub mod snapshot;
 
 pub use config::{SimConfig, WorkloadKind};
 pub use engine::{AbortCause, Engine};
 pub use metrics::SimReport;
-pub use sim::Simulator;
 pub use snapshot::Snapshot;

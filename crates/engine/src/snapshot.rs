@@ -22,7 +22,9 @@
 //! value. The top-level `"v"` field names the format version; a parser
 //! refuses any other version.
 
+use crate::config::SimConfig;
 use crate::engine::{Event, PendingReq, Phase, PrevSample, Txn, WaitKind};
+use bds_des::rng::Xoshiro256;
 use bds_des::stats::{TimeWeighted, Welford};
 use bds_des::time::{Duration, SimTime};
 use bds_fault::FaultAction;
@@ -153,6 +155,27 @@ impl Snapshot {
     /// Configuration cache key of the run that produced the snapshot.
     pub fn cache_key(&self) -> &str {
         &self.cache_key
+    }
+
+    /// Check that [`crate::engine::Engine::restore`] can rebuild this
+    /// snapshot under `base`: with the snapshot's scheduler, `base` must
+    /// have the snapshot's cache key, and the snapshot's generator
+    /// cursor must load into a freshly built generator of that
+    /// workload.
+    ///
+    /// # Errors
+    /// Returns which of the two preconditions fails.
+    pub fn check_restore(&self, base: &SimConfig) -> Result<(), String> {
+        let mut cfg = base.clone();
+        cfg.scheduler = self.scheduler;
+        if cfg.cache_key() != self.cache_key {
+            return Err("snapshot was taken under a different configuration".into());
+        }
+        let mut genr = cfg.workload.build(Xoshiro256::seed_from_u64(cfg.seed));
+        if !genr.load_cursor(&self.gen_cursor) {
+            return Err("workload-generator cursor does not match the configured workload".into());
+        }
+        Ok(())
     }
 }
 

@@ -324,6 +324,41 @@ fn configure_refuses_bad_input_and_stays_up() {
 }
 
 #[test]
+fn restore_refuses_a_mismatched_generator_cursor_and_stays_up() {
+    // A snapshot whose workload-generator cursor does not fit the
+    // configured workload must be refused with `ok:false`, not abort
+    // the server.
+    let dir = std::env::temp_dir();
+    let ckpt = dir.join(format!("bds-serve-badgen-{}.json", std::process::id()));
+    let ckpt_str = ckpt.to_str().expect("utf-8 temp path");
+    let cfg = r#"{"cmd":"configure","scheduler":"low","horizon_s":60,"seed":1}"#;
+    let mut s = Serve::spawn();
+    s.send(cfg);
+    s.send(r#"{"cmd":"run-until","t_ms":30000}"#);
+    s.send(&format!(r#"{{"cmd":"snapshot","path":"{ckpt_str}"}}"#));
+    let text = std::fs::read_to_string(&ckpt).expect("read snapshot");
+    let start = text.find(r#""gen":{"#).expect("snapshot has a gen cursor");
+    let end = start + text[start..].find('}').expect("gen object closes") + 1;
+    let edited = format!(
+        r#"{}"gen":{{"rngs":[],"spare":null}}{}"#,
+        &text[..start],
+        &text[end..]
+    );
+    std::fs::write(&ckpt, edited).expect("write edited snapshot");
+
+    s.send(cfg);
+    let msg = s.send_err(&format!(r#"{{"cmd":"restore","path":"{ckpt_str}"}}"#));
+    assert!(
+        msg.contains("cursor"),
+        "error {msg:?} does not name the cursor"
+    );
+    let status = s.send(r#"{"cmd":"status"}"#);
+    check_conserved(&status);
+    s.quit();
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
 fn batch_epoch_schedulers_serve_end_to_end() {
     // The batch/epoch family (DGCC, BROOK) drives through the full
     // session surface: configure, run, hot-swap between the two, and a

@@ -9,8 +9,8 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 fn main() {
     let horizon = Duration::from_millis(1_000_000);
@@ -29,7 +29,7 @@ fn main() {
             let mut cfg = SimConfig::new(kind, workload.clone());
             cfg.lambda_tps = lambda;
             cfg.horizon = horizon;
-            let r = Simulator::run(&cfg);
+            let r = Engine::run(&cfg);
             print!("{:>9.1}", r.mean_rt_secs());
         }
         println!();
@@ -50,7 +50,7 @@ fn main() {
             cfg.lambda_tps = 1.2;
             cfg.dd = dd;
             cfg.horizon = horizon;
-            let r = Simulator::run(&cfg);
+            let r = Engine::run(&cfg);
             print!("{:>9.1}", r.mean_rt_secs());
         }
         println!();

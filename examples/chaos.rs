@@ -19,9 +19,9 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::fault::FaultPlan;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 const HORIZON_SECS: u64 = 400;
 
@@ -42,7 +42,7 @@ fn main() {
         "scheduler", "committed", "killed", "fault-aborts", "tput(tps)", "availability", "down(s)"
     );
     for kind in SchedulerKind::PAPER_SET {
-        let r = Simulator::run(&point(kind, plan.clone()));
+        let r = Engine::run(&point(kind, plan.clone()));
         println!(
             "{:<10} {:>9} {:>7} {:>12} {:>10.3} {:>12.4} {:>9.1}",
             r.scheduler,
@@ -65,7 +65,7 @@ fn main() {
         for mtbf_secs in [60u64, 120, 240, 480] {
             let sweep_spec = format!("mtbf={mtbf_secs},mttr=12,retry=1000:8000:4,seed=7");
             let plan = FaultPlan::parse(&sweep_spec).expect("plan parses");
-            let r = Simulator::run(&point(kind, plan));
+            let r = Engine::run(&point(kind, plan));
             println!(
                 "{:<10} {:>6} {:>12.4} {:>9} {:>7} {:>10.3}",
                 r.scheduler,

@@ -11,9 +11,9 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::lock_table::LockTable;
 use batchsched::sched::{Outcome, ReqDecision, Scheduler, SchedulerKind, StartDecision};
-use batchsched::sim::Simulator;
 use batchsched::workload::{BatchSpec, FileId};
 use batchsched::wtpg::TxnId;
 use std::collections::BTreeMap;
@@ -89,23 +89,24 @@ fn main() {
     let horizon = Duration::from_millis(1_000_000);
     let lambda = 0.7;
 
-    // Run the custom scheduler by driving the Simulator manually with a
+    // Run the custom scheduler by driving the Engine manually with a
     // scheduler override: build the config for LOW (any kind works — we
     // replace the scheduler object through the public test hook below).
     //
     // The library's `SchedulerKind` covers the paper's set; custom
-    // schedulers run through `Simulator::with_scheduler`.
+    // schedulers run through `Engine::replace_scheduler` before the
+    // first event.
     let mut cfg = SimConfig::new(SchedulerKind::Low(2), workload.clone());
     cfg.lambda_tps = lambda;
     cfg.horizon = horizon;
 
-    let low = Simulator::run(&cfg);
+    let low = Engine::run(&cfg);
 
     let mut master = batchsched::des::rng::Xoshiro256::seed_from_u64(cfg.seed);
     let arrival_rng = master.fork();
     let gen_rng = master.fork();
     let genr = workload.build(gen_rng);
-    let mut sim = Simulator::with_generator(&cfg, genr, arrival_rng);
+    let mut sim = Engine::with_generator(&cfg, genr, arrival_rng);
     sim.replace_scheduler(Box::new(WaitDie2pl::default()));
     sim.run_to_horizon();
     let wd = sim.report();

@@ -11,8 +11,8 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 fn main() {
     let horizon = Duration::from_millis(2_000_000);
@@ -36,7 +36,7 @@ fn main() {
             cfg.lambda_tps = 1.2;
             cfg.dd = dd;
             cfg.horizon = horizon;
-            let r = Simulator::run(&cfg);
+            let r = Engine::run(&cfg);
             println!(
                 "{:>6} {:>4} {:>10.1} {:>10.2} {:>9} {:>8.1}",
                 r.scheduler,

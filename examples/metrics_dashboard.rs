@@ -10,7 +10,7 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
-use batchsched::sim::Simulator;
+use batchsched::engine::Engine;
 use batchsched::telemetry::sparkline;
 use bds_sched::SchedulerKind;
 
@@ -41,7 +41,7 @@ fn main() {
         let mut cfg = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
         cfg.lambda_tps = lambda;
         cfg.horizon = Duration::from_secs(horizon_secs);
-        let (report, series) = Simulator::run_with_metrics(&cfg, dt);
+        let (report, series) = Engine::run_with_metrics(&cfg, dt);
         println!();
         println!(
             "== {:<5} committed {:>4}  mean RT {:>6.1} s  p99 {:>6.1} s",

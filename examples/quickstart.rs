@@ -5,8 +5,8 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 fn main() {
     // Experiment 1 of the paper: batch transactions following
@@ -32,7 +32,7 @@ fn main() {
         cfg.dd = 2;
         cfg.horizon = Duration::from_millis(2_000_000); // the paper's 2,000 s
 
-        let report = Simulator::run(&cfg);
+        let report = Engine::run(&cfg);
         println!(
             "{:>6} {:>10} {:>10.1} {:>10.2} {:>8.0}% {:>8.0}%",
             report.scheduler,

@@ -10,8 +10,8 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 fn main() {
     let horizon = Duration::from_millis(1_000_000);
@@ -41,7 +41,7 @@ fn main() {
             let mut cfg = SimConfig::new(kind, workload.clone());
             cfg.lambda_tps = lambda;
             cfg.horizon = horizon;
-            let r = Simulator::run(&cfg);
+            let r = Engine::run(&cfg);
             row.push_str(&format!(" {:>12.1}", r.mean_rt_secs()));
         }
         println!("{row}");

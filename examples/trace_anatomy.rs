@@ -9,7 +9,7 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
-use batchsched::sim::Simulator;
+use batchsched::engine::Engine;
 use batchsched::trace::Analysis;
 use bds_sched::SchedulerKind;
 
@@ -34,7 +34,7 @@ fn main() {
         let mut cfg = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
         cfg.lambda_tps = lambda;
         cfg.horizon = Duration::from_secs(400);
-        let (report, data) = Simulator::run_traced(&cfg, 1 << 20);
+        let (report, data) = Engine::run_traced(&cfg, 1 << 20);
         let a = Analysis::from_data(&data);
         let b = a.breakdown();
         let top_reason = a

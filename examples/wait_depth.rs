@@ -12,8 +12,8 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 fn main() {
     let horizon = Duration::from_millis(1_000_000);
@@ -35,7 +35,7 @@ fn main() {
             let mut cfg = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
             cfg.lambda_tps = lambda;
             cfg.horizon = horizon;
-            let r = Simulator::run(&cfg);
+            let r = Engine::run(&cfg);
             println!(
                 "{:>6.1} {:>7} {:>10.1} {:>10.2} {:>9} {:>10.1}",
                 lambda,

@@ -4,8 +4,8 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 fn cfg(kind: SchedulerKind, lambda: f64) -> SimConfig {
     let mut c = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
@@ -18,7 +18,7 @@ fn cfg(kind: SchedulerKind, lambda: f64) -> SimConfig {
 fn no_transaction_is_lost() {
     for kind in SchedulerKind::PAPER_SET {
         for lambda in [0.3, 0.9, 1.3] {
-            let r = Simulator::run(&cfg(kind, lambda));
+            let r = Engine::run(&cfg(kind, lambda));
             // arrived = completed + queued (never started or restarting)
             //         + in flight (started, uncommitted at the horizon).
             assert!(
@@ -39,7 +39,7 @@ fn no_transaction_is_lost() {
 #[test]
 fn light_load_completes_everything() {
     for kind in SchedulerKind::PAPER_SET {
-        let r = Simulator::run(&cfg(kind, 0.05));
+        let r = Engine::run(&cfg(kind, 0.05));
         // At 5 % of capacity every arrival completes except the handful
         // near the horizon.
         assert!(
@@ -55,7 +55,7 @@ fn light_load_completes_everything() {
 #[test]
 fn utilization_bounds() {
     for kind in SchedulerKind::PAPER_SET {
-        let r = Simulator::run(&cfg(kind, 1.0));
+        let r = Engine::run(&cfg(kind, 1.0));
         assert!((0.0..=1.0).contains(&r.cn_utilization), "{kind} CN util");
         assert!((0.0..=1.0).contains(&r.dpn_utilization), "{kind} DPN util");
         // Completed work alone gives a lower bound on DPN utilization:
@@ -73,7 +73,7 @@ fn utilization_bounds() {
 #[test]
 fn mpl_cap_is_respected() {
     for mpl in [1u32, 4, 16] {
-        let r = Simulator::run(&cfg(SchedulerKind::C2pl, 1.2).with_mpl(mpl));
+        let r = Engine::run(&cfg(SchedulerKind::C2pl, 1.2).with_mpl(mpl));
         assert!(
             r.mean_live <= mpl as f64 + 1e-9,
             "mpl={mpl}: mean live {} exceeds the cap",
@@ -85,7 +85,7 @@ fn mpl_cap_is_respected() {
 #[test]
 fn restarts_only_under_opt() {
     for kind in SchedulerKind::PAPER_SET {
-        let r = Simulator::run(&cfg(kind, 1.0));
+        let r = Engine::run(&cfg(kind, 1.0));
         if kind == SchedulerKind::Opt {
             assert!(r.restarts > 0, "OPT at λ=1.0 must abort sometimes");
         } else {
@@ -101,7 +101,7 @@ fn throughput_never_exceeds_capacity() {
         for dd in [1, 8] {
             let mut c = cfg(kind, 1.4);
             c.dd = dd;
-            let r = Simulator::run(&c);
+            let r = Engine::run(&c);
             assert!(
                 r.throughput_tps() <= 1.16,
                 "{kind} DD={dd}: throughput {:.3} above machine capacity",
@@ -115,8 +115,8 @@ fn throughput_never_exceeds_capacity() {
 fn cn_costs_show_up_in_utilization() {
     // GOW charges chaintime=30ms per contended request: its CN
     // utilization must clearly exceed NODC's at the same load.
-    let gow = Simulator::run(&cfg(SchedulerKind::Gow, 0.9));
-    let nodc = Simulator::run(&cfg(SchedulerKind::Nodc, 0.9));
+    let gow = Engine::run(&cfg(SchedulerKind::Gow, 0.9));
+    let nodc = Engine::run(&cfg(SchedulerKind::Nodc, 0.9));
     assert!(
         gow.cn_utilization > nodc.cn_utilization * 2.0,
         "GOW CN util {:.3} should dwarf NODC's {:.3}",

@@ -15,8 +15,8 @@ mod harness;
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::rng::Xoshiro256;
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 use harness::{case_config, check_case, random_plan};
 
 /// Cases per scheduler in the property sweep.
@@ -91,7 +91,7 @@ fn differential_same_plan_across_schedulers() {
             c.lambda_tps = 0.6;
             c.horizon = Duration::from_secs(120);
             let c = c.with_faults(plan.clone());
-            let mut sim = Simulator::new(&c);
+            let mut sim = Engine::new(&c);
             sim.run_to_horizon();
             let r = sim.report();
             assert_eq!(
@@ -149,8 +149,8 @@ fn chaos_runs_are_deterministic() {
             SchedulerKind::Brook,
         ] {
             let c = case_config(kind, case_seed);
-            let a = Simulator::run(&c);
-            let b = Simulator::run(&c);
+            let a = Engine::run(&c);
+            let b = Engine::run(&c);
             assert_eq!(
                 a.to_json(),
                 b.to_json(),

@@ -10,7 +10,6 @@ use batchsched::des::{Duration, SimTime};
 use batchsched::engine::{Engine, Snapshot};
 use batchsched::fault::FaultPlan;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 const CRASHY: &str = "crash=1@40x20,crash=4@90x15,retry=1000:8000:4";
 
@@ -43,7 +42,7 @@ fn pick(seed: u64, bound: u64) -> u64 {
 /// replayed exactly instead of guessed at.
 fn check_one_hop(c: &SimConfig, split_seed: u64, split: u64) -> Snapshot {
     let ctx = format!("{} split_seed={split_seed:#x} split={split}", c.scheduler);
-    let bulk = Simulator::run(c);
+    let bulk = Engine::run(c);
     let mut e = Engine::new(c);
     e.enable_checkpointing();
     for _ in 0..split {
@@ -81,7 +80,7 @@ fn check_one_hop(c: &SimConfig, split_seed: u64, split: u64) -> Snapshot {
 fn snapshot_restore_identity_all_schedulers() {
     for (i, kind) in SchedulerKind::EXTENDED_SET.into_iter().enumerate() {
         let c = cfg(kind, false);
-        let events = Simulator::run(&c).events;
+        let events = Engine::run(&c).events;
         let split_seed = i as u64 + 1;
         let split = pick(split_seed, events);
         check_one_hop(&c, split_seed, split);
@@ -92,7 +91,7 @@ fn snapshot_restore_identity_all_schedulers() {
 fn snapshot_restore_identity_under_faults() {
     for (i, kind) in SchedulerKind::EXTENDED_SET.into_iter().enumerate() {
         let c = cfg(kind, true);
-        let events = Simulator::run(&c).events;
+        let events = Engine::run(&c).events;
         let split_seed = 0x0fa1_7000 + i as u64;
         let split = pick(split_seed, events);
         check_one_hop(&c, split_seed, split);
@@ -117,7 +116,7 @@ fn two_hop_restore_matches_bulk() {
     // snapshot → restore → run a while → snapshot again → restore →
     // run to horizon: still identical to the uninterrupted run.
     let c = cfg(SchedulerKind::C2pl, true);
-    let bulk = Simulator::run(&c);
+    let bulk = Engine::run(&c);
 
     let mut e = Engine::new(&c);
     e.enable_checkpointing();

@@ -4,8 +4,8 @@
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::rng::Xoshiro256;
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::{Outcome, ReqDecision, Scheduler, SchedulerKind, StartDecision};
-use batchsched::sim::Simulator;
 use batchsched::workload::gen::CustomPattern;
 use batchsched::workload::pattern::{Pattern, StepTemplate};
 use batchsched::workload::spec::Access;
@@ -37,7 +37,7 @@ fn read_only_workload_has_no_contention() {
     let mut reference = SimConfig::new(SchedulerKind::Nodc, workload.clone());
     reference.lambda_tps = 0.8;
     reference.horizon = Duration::from_secs(600);
-    let nodc = Simulator::run(&reference);
+    let nodc = Engine::run(&reference);
     for kind in [
         SchedulerKind::Asl,
         SchedulerKind::C2pl,
@@ -45,7 +45,7 @@ fn read_only_workload_has_no_contention() {
     ] {
         let mut cfg = reference.clone();
         cfg.scheduler = kind;
-        let r = Simulator::run(&cfg);
+        let r = Engine::run(&cfg);
         assert_eq!(
             r.completed, nodc.completed,
             "{kind} should match NODC on a read-only workload"
@@ -69,7 +69,7 @@ fn skewed_popularity_increases_contention() {
         );
         cfg.lambda_tps = 0.6;
         cfg.horizon = Duration::from_secs(600);
-        Simulator::run(&cfg)
+        Engine::run(&cfg)
     };
     let skewed = {
         let mut weights = vec![0.2f64; 16];
@@ -83,7 +83,7 @@ fn skewed_popularity_increases_contention() {
         cfg.lambda_tps = 0.6;
         cfg.horizon = Duration::from_secs(600);
         let mut sim =
-            Simulator::with_generator(&cfg, Box::new(genr), Xoshiro256::seed_from_u64(cfg.seed));
+            Engine::with_generator(&cfg, Box::new(genr), Xoshiro256::seed_from_u64(cfg.seed));
         sim.run_to_horizon();
         sim.report()
     };
@@ -166,7 +166,7 @@ fn custom_scheduler_runs_through_public_api() {
     let mut master = Xoshiro256::seed_from_u64(cfg.seed);
     let arrivals = master.fork();
     let genr = workload.build(master.fork());
-    let mut sim = Simulator::with_generator(&cfg, genr, arrivals);
+    let mut sim = Engine::with_generator(&cfg, genr, arrivals);
     sim.replace_scheduler(Box::new(LazyLocker::default()));
     sim.run_to_horizon();
     let r = sim.report();

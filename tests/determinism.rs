@@ -4,8 +4,8 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 fn base(kind: SchedulerKind) -> SimConfig {
     let mut cfg = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
@@ -17,16 +17,16 @@ fn base(kind: SchedulerKind) -> SimConfig {
 #[test]
 fn identical_configs_are_bit_identical() {
     for kind in SchedulerKind::PAPER_SET {
-        let a = Simulator::run(&base(kind));
-        let b = Simulator::run(&base(kind));
+        let a = Engine::run(&base(kind));
+        let b = Engine::run(&base(kind));
         assert_eq!(a, b, "{kind} is nondeterministic");
     }
 }
 
 #[test]
 fn seeds_change_outcomes() {
-    let a = Simulator::run(&base(SchedulerKind::Low(2)));
-    let b = Simulator::run(&base(SchedulerKind::Low(2)).with_seed(999));
+    let a = Engine::run(&base(SchedulerKind::Low(2)));
+    let b = Engine::run(&base(SchedulerKind::Low(2)).with_seed(999));
     assert_ne!(
         (a.completed, a.rt),
         (b.completed, b.rt),
@@ -41,7 +41,7 @@ fn arrival_stream_is_common_across_schedulers() {
     // independent of scheduling decisions).
     let counts: Vec<u64> = SchedulerKind::PAPER_SET
         .iter()
-        .map(|&k| Simulator::run(&base(k)).arrived)
+        .map(|&k| Engine::run(&base(k)).arrived)
         .collect();
     assert!(
         counts.windows(2).all(|w| w[0] == w[1]),
@@ -53,8 +53,8 @@ fn arrival_stream_is_common_across_schedulers() {
 fn workload_knobs_do_not_perturb_arrivals() {
     // Changing the declustering degree must not change the arrival
     // sequence (stream isolation).
-    let dd1 = Simulator::run(&base(SchedulerKind::Nodc).with_dd(1));
-    let dd8 = Simulator::run(&base(SchedulerKind::Nodc).with_dd(8));
+    let dd1 = Engine::run(&base(SchedulerKind::Nodc).with_dd(1));
+    let dd8 = Engine::run(&base(SchedulerKind::Nodc).with_dd(8));
     assert_eq!(dd1.arrived, dd8.arrived);
 }
 
@@ -69,8 +69,8 @@ fn exp3_sigma_does_not_change_true_work() {
         num_files: 16,
         sigma: 5.0,
     };
-    let a = Simulator::run(&clean);
-    let b = Simulator::run(&noisy);
+    let a = Engine::run(&clean);
+    let b = Engine::run(&noisy);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.rt, b.rt, "NODC must be blind to declared demands");
 }

@@ -68,7 +68,7 @@ fn best_mpl_never_picks_worse_than_grid() {
     assert!(!choice.all_saturated);
     let (m, best) = (choice.mpl, choice.report);
     for probe in [2u32, 8, 32] {
-        let r = batchsched::sim::Simulator::run(&cfg.clone().with_mpl(probe));
+        let r = batchsched::engine::Engine::run(&cfg.clone().with_mpl(probe));
         if r.completed > 0 && best.completed > 0 {
             assert!(
                 best.mean_rt_secs() <= r.mean_rt_secs() + 1e-9,

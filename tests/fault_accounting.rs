@@ -5,9 +5,9 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::fault::FaultPlan;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 fn cfg(kind: SchedulerKind, lambda: f64, plan: &str) -> SimConfig {
     let mut c = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
@@ -20,7 +20,7 @@ fn cfg(kind: SchedulerKind, lambda: f64, plan: &str) -> SimConfig {
 /// *any* fault plan.
 fn check(kind: SchedulerKind, lambda: f64, plan: &str) {
     let c = cfg(kind, lambda, plan);
-    let mut sim = Simulator::new(&c);
+    let mut sim = Engine::new(&c);
     sim.run_to_horizon();
     let r = sim.report();
     let ctx = format!("{kind} λ={lambda} plan={plan:?}");
@@ -114,7 +114,7 @@ fn hold_mode_conserves() {
 fn empty_plan_reports_no_fault_activity() {
     for kind in SchedulerKind::PAPER_SET {
         let c = cfg(kind, 0.8, "");
-        let r = Simulator::run(&c);
+        let r = Engine::run(&c);
         assert_eq!(r.aborts_fault, 0, "{kind}: fault aborts without a plan");
         assert_eq!(r.killed, 0, "{kind}: kills without a plan");
         assert_eq!(r.availability, 1.0, "{kind}: downtime without a plan");
@@ -133,7 +133,7 @@ fn kills_happen_and_are_counted() {
         0.9,
         "mtbf=60,mttr=30,retry=200:400:2,seed=3",
     );
-    let mut sim = Simulator::new(&c);
+    let mut sim = Engine::new(&c);
     sim.run_to_horizon();
     let r = sim.report();
     assert!(r.aborts_fault > 0, "no fault aborts under heavy crashing");
@@ -160,10 +160,10 @@ fn faults_eventually_drain() {
         faulty.horizon = Duration::from_secs(900);
         let mut clean = cfg(kind, 0.4, "");
         clean.horizon = Duration::from_secs(900);
-        let mut sim = Simulator::new(&faulty);
+        let mut sim = Engine::new(&faulty);
         sim.run_to_horizon();
         let r = sim.report();
-        let mut base = Simulator::new(&clean);
+        let mut base = Engine::new(&clean);
         base.run_to_horizon();
         assert!(
             sim.in_flight() <= base.in_flight() + 10,

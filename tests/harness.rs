@@ -13,7 +13,6 @@ use batchsched::des::Duration;
 use batchsched::engine::Engine;
 use batchsched::fault::{CnStall, CrashFault, DegradedMode, FaultPlan, LinkFaults, RetryPolicy};
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 use batchsched::workload::spec::{BatchSpec, FileId, LockMode, Step};
 use batchsched::wtpg::oracle::is_serializable;
 
@@ -74,7 +73,7 @@ pub fn case_config(kind: SchedulerKind, case_seed: u64) -> SimConfig {
 /// exactly.
 pub fn check_case(kind: SchedulerKind, case_seed: u64) {
     let c = case_config(kind, case_seed);
-    let mut sim = Simulator::new(&c);
+    let mut sim = Engine::new(&c);
     sim.run_to_horizon();
     let r = sim.report();
     let ctx = format!("{kind} case_seed={case_seed:#x} plan={:?}", c.faults);

@@ -4,7 +4,7 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
-use batchsched::sim::Simulator;
+use batchsched::engine::Engine;
 use bds_sched::SchedulerKind;
 
 fn light_load_cfg() -> SimConfig {
@@ -23,7 +23,7 @@ fn light_load_cfg() -> SimConfig {
 /// log-bucketed histogram must resolve the actual ≈ 7.2 s value.
 #[test]
 fn percentiles_have_sub_second_resolution() {
-    let r = Simulator::run(&light_load_cfg());
+    let r = Engine::run(&light_load_cfg());
     // p50 must agree with the exact mean to well under a 1-second
     // bucket — the response times cluster at ≈ 7.2 s.
     let p50 = r.rt_p50_secs.unwrap();
@@ -48,8 +48,8 @@ fn sampling_does_not_perturb_the_report() {
         let mut cfg = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
         cfg.lambda_tps = 1.1;
         cfg.horizon = Duration::from_secs(300);
-        let off = Simulator::run(&cfg);
-        let (on, series) = Simulator::run_with_metrics(&cfg, Duration::from_secs(5));
+        let off = Engine::run(&cfg);
+        let (on, series) = Engine::run_with_metrics(&cfg, Duration::from_secs(5));
         assert_eq!(
             off.to_json(),
             on.to_json(),
@@ -67,7 +67,7 @@ fn series_shape_and_ranges() {
     let mut cfg = SimConfig::new(SchedulerKind::C2pl, WorkloadKind::Exp1 { num_files: 16 });
     cfg.lambda_tps = 1.1;
     cfg.horizon = Duration::from_secs(300);
-    let (report, series) = Simulator::run_with_metrics(&cfg, Duration::from_secs(5));
+    let (report, series) = Engine::run_with_metrics(&cfg, Duration::from_secs(5));
 
     // Grid: 5 s spacing from t = 5 s through the horizon.
     assert_eq!(series.dt_ms(), 5_000);
@@ -108,8 +108,8 @@ fn series_is_deterministic() {
     let mut cfg = SimConfig::new(SchedulerKind::Low(2), WorkloadKind::Exp1 { num_files: 16 });
     cfg.lambda_tps = 1.0;
     cfg.horizon = Duration::from_secs(200);
-    let (ra, sa) = Simulator::run_with_metrics(&cfg, Duration::from_secs(2));
-    let (rb, sb) = Simulator::run_with_metrics(&cfg, Duration::from_secs(2));
+    let (ra, sa) = Engine::run_with_metrics(&cfg, Duration::from_secs(2));
+    let (rb, sb) = Engine::run_with_metrics(&cfg, Duration::from_secs(2));
     assert_eq!(ra, rb);
     assert_eq!(sa.to_csv(), sb.to_csv());
     assert_eq!(sa.to_json(), sb.to_json());
@@ -120,7 +120,7 @@ fn series_is_deterministic() {
 #[test]
 fn rt_histogram_backs_the_report_percentiles() {
     let cfg = light_load_cfg();
-    let mut sim = Simulator::new(&cfg);
+    let mut sim = Engine::new(&cfg);
     sim.run_to_horizon();
     let report = sim.report();
     let h = sim.rt_histogram();

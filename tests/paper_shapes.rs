@@ -6,16 +6,16 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::metrics::SimReport;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 
 fn run(kind: SchedulerKind, workload: WorkloadKind, lambda: f64, dd: u32) -> SimReport {
     let mut cfg = SimConfig::new(kind, workload);
     cfg.lambda_tps = lambda;
     cfg.dd = dd;
     cfg.horizon = Duration::from_secs(1200);
-    Simulator::run(&cfg)
+    Engine::run(&cfg)
 }
 
 fn exp1(kind: SchedulerKind, lambda: f64, dd: u32) -> SimReport {
@@ -246,8 +246,8 @@ fn mpl_throttle_helps_c2pl_under_overload() {
     let mut raw = SimConfig::new(SchedulerKind::C2pl, WorkloadKind::Exp1 { num_files: 16 });
     raw.lambda_tps = 1.2;
     raw.horizon = Duration::from_secs(1200);
-    let unlimited = Simulator::run(&raw);
-    let throttled = Simulator::run(&raw.clone().with_mpl(8));
+    let unlimited = Engine::run(&raw);
+    let throttled = Engine::run(&raw.clone().with_mpl(8));
     assert!(
         throttled.completed > unlimited.completed,
         "mpl=8 completed {} must beat mpl=∞'s {}",

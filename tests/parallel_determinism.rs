@@ -9,10 +9,10 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::experiments::{self, ExpOptions, ARTIFACT_IDS};
 use batchsched::fault::FaultPlan;
 use batchsched::parallel::{map_jobs, ExecCtx};
-use batchsched::sim::Simulator;
 use batchsched::trace::{chrome_trace, Analysis};
 use bds_sched::SchedulerKind;
 
@@ -96,7 +96,7 @@ fn traced_exports_identical_at_jobs_1_and_jobs_8() {
         .collect();
     let render = |jobs: usize| -> Vec<[String; 3]> {
         map_jobs(&cells, jobs, |_, cfg| {
-            let (report, data) = Simulator::run_traced(cfg, 1 << 20);
+            let (report, data) = Engine::run_traced(cfg, 1 << 20);
             let summary = Analysis::from_data(&data).summary_json();
             [report.to_json(), chrome_trace(&data), summary]
         })
@@ -130,7 +130,7 @@ fn metrics_exports_identical_at_jobs_1_and_jobs_8() {
         .collect();
     let render = |jobs: usize| -> Vec<[String; 3]> {
         map_jobs(&cells, jobs, |_, cfg| {
-            let (report, series) = Simulator::run_with_metrics(cfg, Duration::from_secs(5));
+            let (report, series) = Engine::run_with_metrics(cfg, Duration::from_secs(5));
             [report.to_json(), series.to_csv(), series.to_json()]
         })
     };
@@ -144,7 +144,7 @@ fn metrics_exports_identical_at_jobs_1_and_jobs_8() {
             SchedulerKind::PAPER_SET[i]
         );
         // Sampling must not perturb the report itself.
-        let plain = Simulator::run(&cells[i]);
+        let plain = Engine::run(&cells[i]);
         assert_eq!(
             plain.to_json(),
             a[0],
@@ -176,7 +176,7 @@ fn fault_exports_identical_at_jobs_1_and_jobs_8() {
         .collect();
     let render = |jobs: usize| -> Vec<[String; 3]> {
         map_jobs(&cells, jobs, |_, cfg| {
-            let (report, series) = Simulator::run_with_metrics(cfg, Duration::from_secs(5));
+            let (report, series) = Engine::run_with_metrics(cfg, Duration::from_secs(5));
             [report.to_json(), series.to_csv(), series.to_json()]
         })
     };

@@ -22,7 +22,6 @@ use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::{Duration, SimTime};
 use batchsched::engine::{Engine, Snapshot};
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 use batchsched::wtpg::oracle::is_serializable;
 use harness::{assert_no_retained_state, check_case, run_drain};
 
@@ -45,7 +44,7 @@ fn conformance_serializability() {
         }
         for (lambda, dd, seed) in [(0.6, 1, 21u64), (1.2, 1, 22), (0.8, 4, 23)] {
             let c = load_point(kind, lambda, dd, seed);
-            let mut sim = Simulator::new(&c);
+            let mut sim = Engine::new(&c);
             sim.run_to_horizon();
             let r = sim.report();
             assert!(
@@ -70,7 +69,7 @@ fn conformance_conservation() {
     for kind in SchedulerKind::ALL {
         for seed in 31..34u64 {
             let c = load_point(kind, 1.0, 1, seed);
-            let mut sim = Simulator::new(&c);
+            let mut sim = Engine::new(&c);
             sim.run_to_horizon();
             let r = sim.report();
             assert_eq!(
@@ -126,7 +125,7 @@ fn conformance_checkpoint_identity() {
     for (i, kind) in SchedulerKind::ALL.into_iter().enumerate() {
         let mut c = load_point(kind, 0.6, 1, 51);
         c.horizon = Duration::from_secs(300);
-        let bulk = Simulator::run(&c);
+        let bulk = Engine::run(&c);
 
         let mut e = Engine::new(&c);
         e.enable_checkpointing();

@@ -11,9 +11,9 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
+use batchsched::engine::Engine;
 use batchsched::fault::FaultPlan;
 use batchsched::sched::SchedulerKind;
-use batchsched::sim::Simulator;
 use batchsched::wtpg::oracle::is_serializable;
 
 fn audit(kind: SchedulerKind, workload: WorkloadKind, lambda: f64, dd: u32, seed: u64) {
@@ -36,7 +36,7 @@ fn audit_with_faults(
     if !plan.is_empty() {
         cfg = cfg.with_faults(FaultPlan::parse(plan).expect("plan parses"));
     }
-    let mut sim = Simulator::new(&cfg);
+    let mut sim = Engine::new(&cfg);
     sim.run_to_horizon();
     let report = sim.report();
     assert!(

@@ -5,7 +5,7 @@
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
-use batchsched::sim::Simulator;
+use batchsched::engine::Engine;
 use batchsched::trace::{chrome_trace, Analysis};
 use bds_sched::SchedulerKind;
 
@@ -24,7 +24,7 @@ const CAPACITY: usize = 1 << 20;
 fn counters_reconcile_with_report_for_paper_set() {
     for kind in SchedulerKind::PAPER_SET {
         let c = cfg(kind);
-        let (r, data) = Simulator::run_traced(&c, CAPACITY);
+        let (r, data) = Engine::run_traced(&c, CAPACITY);
         assert_eq!(data.dropped, 0, "{kind}: ring overflowed");
         let n = &data.counts;
         assert_eq!(n.arrivals, r.arrived, "{kind}: arrivals");
@@ -57,7 +57,7 @@ fn counters_reconcile_with_report_for_paper_set() {
 #[test]
 fn wdl_restart_counters_balance() {
     let c = cfg(SchedulerKind::Wdl);
-    let (r, data) = Simulator::run_traced(&c, CAPACITY);
+    let (r, data) = Engine::run_traced(&c, CAPACITY);
     let n = &data.counts;
     assert!(n.lock_restarts > 0, "contended WDL must restart someone");
     // Every lock request resolves exactly one way.
@@ -80,8 +80,8 @@ fn tracing_does_not_change_the_report() {
         SchedulerKind::Wdl,
     ] {
         let c = cfg(kind);
-        let plain = Simulator::run(&c);
-        let (traced, _) = Simulator::run_traced(&c, CAPACITY);
+        let plain = Engine::run(&c);
+        let (traced, _) = Engine::run_traced(&c, CAPACITY);
         assert_eq!(
             plain.to_json(),
             traced.to_json(),
@@ -93,7 +93,7 @@ fn tracing_does_not_change_the_report() {
 #[test]
 fn analysis_and_exports_agree_with_report() {
     let c = cfg(SchedulerKind::C2pl);
-    let (r, data) = Simulator::run_traced(&c, CAPACITY);
+    let (r, data) = Engine::run_traced(&c, CAPACITY);
     let a = Analysis::from_data(&data);
     let b = a.breakdown();
     assert_eq!(b.committed, r.completed);
