@@ -1,42 +1,27 @@
 //! `benchdiff` — the bench regression gate.
 //!
 //! ```text
-//! benchdiff BASELINE.json CURRENT.json [--tol-time PCT] [--ignore-time] [--strict] [--json]
+//! benchdiff BASELINE.json CURRENT.json
 //! ```
 //!
-//! Compares two `BENCH_*.json` documents (as written by `repro`) and
-//! exits non-zero when the current run regresses against the baseline:
-//!
-//! * **time metrics** (`secs`, `*_secs`, `*_pct`, `*ns_per*`) may be up
-//!   to `--tol-time` percent worse than baseline (default 300 %, sized
-//!   for shared CI runners; tighten on quiet machines) plus a small
-//!   per-unit absolute floor that keeps microscopic bases from tripping
-//!   the relative check;
-//! * **count metrics** (`completed`, `sim_runs`, `events`, …) must match
-//!   exactly — the simulator is deterministic, so any drift is a
-//!   behavioral change, not noise;
-//! * **config values** (`jobs`, `horizon_secs`, `bisect_iters`, labels)
-//!   must match exactly or the comparison itself is meaningless.
-//!
-//! `--ignore-time` gates on counts/config only. `--strict` additionally
-//! fails when a baseline metric is missing from the current document
-//! (by default missing metrics are reported but tolerated, so the
-//! schema can evolve without re-pinning the baseline). `--json` emits
-//! the full per-metric delta table (severity-sorted, with schema drift
-//! and the gate verdict) as one JSON object on stdout instead of the
-//! human table; exit codes are unchanged.
+//! Compares a bench document (a `BENCH_*.json` written by `repro`, or
+//! the result line of `perfbench`) against a committed baseline and exits
+//! non-zero unless every baseline value is reproduced exactly: numbers,
+//! strings and bools must match, and no baseline metric may be missing.
+//! The simulator is deterministic, so any drift is a behavioral change,
+//! not noise. Metrics only in the current document are listed and
+//! ignored, which lets a baseline pin the deterministic counts of a
+//! document that also carries host timings.
 //!
 //! Exit codes: `0` no regression · `1` regression · `2` usage or I/O
 //! error.
 
+use bds_metrics::compare;
 use bds_metrics::jsonv::{self, JsonValue};
-use bds_metrics::{compare, Tolerances};
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!(
-        "usage: benchdiff BASELINE.json CURRENT.json [--tol-time PCT] [--ignore-time] [--strict] [--json]"
-    );
+    eprintln!("usage: benchdiff BASELINE.json CURRENT.json");
     std::process::exit(2);
 }
 
@@ -59,44 +44,16 @@ fn load(path: &str) -> JsonValue {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tol = Tolerances {
-        time_rel: 3.0,
-        ..Tolerances::default()
-    };
-    let mut paths: Vec<String> = Vec::new();
-    let mut json = false;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--tol-time" => {
-                let Some(pct) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    usage_exit("--tol-time requires a percentage");
-                };
-                if pct.is_nan() || pct < 0.0 {
-                    usage_exit("--tol-time requires a non-negative percentage");
-                }
-                tol.time_rel = pct / 100.0;
-            }
-            "--ignore-time" => tol.ignore_time = true,
-            "--strict" => tol.strict_missing = true,
-            other if other.starts_with("--") => {
-                usage_exit(&format!("unknown flag '{other}'"));
-            }
-            other => paths.push(other.to_string()),
-        }
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        usage_exit(&format!("unknown flag '{flag}'"));
     }
-    let [base_path, cur_path] = paths.as_slice() else {
+    let [base_path, cur_path] = args.as_slice() else {
         usage_exit("expected exactly two files: BASELINE.json CURRENT.json");
     };
     let base = load(base_path);
     let cur = load(cur_path);
-    let report = compare(&base, &cur, &tol);
-    if json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
+    let report = compare(&base, &cur);
+    print!("{}", report.render());
     if report.regressed() {
         eprintln!("benchdiff: '{cur_path}' regresses against '{base_path}'");
         std::process::exit(1);

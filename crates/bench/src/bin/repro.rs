@@ -39,11 +39,6 @@
 //! build-info header (`fig8_<sched>.profile.json`), a wall-clock Chrome
 //! trace of the cold phases (`fig8_<sched>.obs.chrome.json`) and a
 //! Prometheus text exposition (`fig8_<sched>.obs.prom`) into DIR.
-//! Independently of the flag, every
-//! full repro run measures the profiled-path overhead (min-of-three
-//! interleaved passes, reports byte-compared against the plain loop)
-//! and records it as `obs_overhead_pct` in `BENCH_repro.json` — same
-//! ≤ 2 % budget and `benchdiff` classification as step dispatch.
 //!
 //! `--scale` switches to the web-scale smoke target: instead of the
 //! paper artifacts, one 100-DPN, million-transaction C2PL run (Exp. 1,
@@ -67,26 +62,22 @@
 //! `chaos_<sched>.timeseries.csv`, plus one `chaos_summary.csv`). The
 //! whole table is deterministic in (seed, plan).
 //!
-//! Per-artifact wall-clock timings, simulator-invocation counts,
-//! cache-hit counts, per-scheduler wall-clock timings of a fixed
-//! high-contention point (the `"schedulers"` array), and the measured
-//! tracing overhead (both with the ring recorder on and for the
-//! disabled no-op path) are written as machine-readable JSON to
-//! `BENCH_repro.json` in the working directory. When a committed
-//! `BENCH_baseline.json` is present there, a one-line delta against it
-//! is printed (the same comparison `benchdiff` gates CI with).
+//! The run parameters and the per-artifact simulator-invocation and
+//! cache-hit counts are written as machine-readable JSON to
+//! `BENCH_repro.json` in the working directory. Every value in it is
+//! deterministic, so `benchdiff` compares it exactly against the
+//! committed `BENCH_baseline.json`. Wall-clock times go to stderr only;
+//! host timing is measured by `perfbench/`.
 
 use batchsched::config::{SimConfig, WorkloadKind};
-use batchsched::des::time::SimTime;
 use batchsched::des::Duration;
 use batchsched::engine::Engine;
 use batchsched::experiments::{default_jobs, run_artifact_with, ExpOptions, ARTIFACT_IDS};
 use batchsched::fault::FaultPlan;
-use batchsched::metrics::{JsonObj, SimReport};
+use batchsched::metrics::JsonObj;
 use batchsched::parallel::{resolve_thread_budget, ExecCtx};
-use batchsched::trace::{chrome_trace, Analysis, EventKind, Rec, Tracer};
-use batchsched::wtpg::TxnId;
-use bds_metrics::{jsonv, PromText, Tolerances};
+use batchsched::trace::{chrome_trace, Analysis};
+use bds_metrics::PromText;
 use bds_sched::SchedulerKind;
 use std::time::Instant;
 
@@ -202,14 +193,14 @@ fn run_chaos(plan: &FaultPlan, opts: &ExpOptions, csv: bool, metrics_dir: Option
     }
 }
 
-/// Wall-clock budget for the `--scale` smoke run. The run takes ~25 s
-/// on a current dev machine; the budget leaves 4–5× headroom for shared
+/// Wall-clock budget for the `--scale` smoke run. The run takes ~6 s
+/// on a current dev machine; the budget leaves ~20× headroom for shared
 /// CI runners while still catching a complexity regression (an
 /// O(transactions) structure on the hot path blows straight through).
 const SCALE_WALL_BUDGET_SECS: f64 = 120.0;
 
 /// Peak-RSS budget for the `--scale` smoke run. Steady state is
-/// ~50 MiB; O(transactions) memory (full response-time samples, leaked
+/// ~13 MiB; O(transactions) memory (full response-time samples, leaked
 /// arena slots, an unbounded event list) hits hundreds of MiB.
 const SCALE_RSS_BUDGET_MIB: f64 = 256.0;
 
@@ -238,8 +229,8 @@ fn reset_peak_rss() -> bool {
 }
 
 /// `--scale` smoke: one 100-DPN, million-transaction run under C2PL,
-/// gated on wall clock and peak RSS. Writes `BENCH_scale.json` and
-/// exits nonzero over budget.
+/// gated on wall clock, peak RSS and step-dispatch overhead. Writes the
+/// run's counts to `BENCH_scale.json` and exits nonzero over budget.
 fn run_scale_smoke() -> ! {
     // 2000 files keep C2PL comfortably stable (per-file lock
     // utilization ≈ 2.5 %): the smoke pins engine cost at scale, not
@@ -261,7 +252,7 @@ fn run_scale_smoke() -> ! {
     let wall_secs = t0.elapsed().as_secs_f64();
     // Same run again, dispatched one event at a time through
     // `Engine::step` — the step-dispatch overhead budget is ≤ 2 %.
-    let (step_wall_secs, step_overhead_pct) = {
+    let step_overhead_pct = {
         let measure = || {
             let tb = Instant::now();
             let bulk = Engine::run(&cfg);
@@ -275,17 +266,15 @@ fn run_scale_smoke() -> ! {
                 bulk.to_json(),
                 "stepping perturbed the simulation"
             );
-            (step_secs, (step_secs - bulk_secs) / bulk_secs * 100.0)
+            (step_secs - bulk_secs) / bulk_secs * 100.0
         };
-        let (mut step_secs, mut overhead) = measure();
+        let overhead = measure();
         if overhead > 2.0 {
             // One retry damps scheduler jitter before declaring failure.
-            let (s2, o2) = measure();
-            if o2 < overhead {
-                (step_secs, overhead) = (s2, o2);
-            }
+            overhead.min(measure())
+        } else {
+            overhead
         }
-        (step_secs, overhead)
     };
     eprintln!("scale smoke: step-dispatch overhead {step_overhead_pct:+.2}% vs bulk loop");
     let rss_mib = peak_rss_mib();
@@ -304,16 +293,9 @@ fn run_scale_smoke() -> ! {
     );
     let mut o = JsonObj::new();
     o.str("bin", "repro --scale");
-    o.num("wall_secs", wall_secs);
-    o.num("events_per_sec_m", events_per_sec / 1e6);
     o.int("arrived", report.arrived);
     o.int("completed", report.completed);
     o.int("events", report.events);
-    o.num("step_wall_secs", step_wall_secs);
-    o.num("step_overhead_pct", step_overhead_pct);
-    if let Some(m) = rss_mib {
-        o.num("peak_rss_mib", m);
-    }
     let json = o.finish();
     if let Err(e) = std::fs::write("BENCH_scale.json", format!("{json}\n")) {
         eprintln!("warning: could not write BENCH_scale.json: {e}");
@@ -601,246 +583,6 @@ fn fmt_opt(v: Option<f64>) -> String {
     }
 }
 
-/// Print a one-line delta of this run's `BENCH_repro.json` against the
-/// committed `BENCH_baseline.json`, when one exists. Informational only
-/// — the hard gate is the `benchdiff` CLI in CI.
-fn print_baseline_delta(current_json: &str) {
-    let Ok(base_text) = std::fs::read_to_string("BENCH_baseline.json") else {
-        eprintln!("[no BENCH_baseline.json here; skipping baseline delta]");
-        return;
-    };
-    let (base, cur) = match (jsonv::parse(&base_text), jsonv::parse(current_json)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) => {
-            eprintln!("[baseline delta skipped: BENCH_baseline.json unparsable: {e}]");
-            return;
-        }
-        (_, Err(e)) => {
-            eprintln!("[baseline delta skipped: current bench JSON unparsable: {e}]");
-            return;
-        }
-    };
-    // Generous time tolerance: this line is printed on arbitrary dev
-    // machines; the CI gate picks its own threshold.
-    let tol = Tolerances {
-        time_rel: 3.0,
-        ..Tolerances::default()
-    };
-    let diff = bds_metrics::compare(&base, &cur, &tol);
-    eprintln!("[vs BENCH_baseline.json: {}]", diff.summary_line());
-}
-
-/// Measure tracing overhead on a short fixed C2PL point: wall time with
-/// the ring recorder on vs off, plus the estimated cost of the disabled
-/// (`Tracer::Off`) path — events that would have been emitted times the
-/// measured per-call cost of a no-op `emit`.
-fn measure_trace_overhead(bench: &mut JsonObj) {
-    let mut cfg = SimConfig::new(SchedulerKind::C2pl, WorkloadKind::Exp1 { num_files: 16 });
-    cfg.lambda_tps = 1.1;
-    cfg.horizon = Duration::from_secs(200);
-    let t0 = Instant::now();
-    let plain = Engine::run(&cfg);
-    let off_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let (traced, data) = Engine::run_traced(&cfg, 1 << 22);
-    let on_secs = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        plain.to_json(),
-        traced.to_json(),
-        "tracing perturbed the simulation"
-    );
-    // Per-call cost of emit on a disabled tracer (the closure is never
-    // run; black_box keeps the loop from vanishing).
-    let mut off = Tracer::Off;
-    let iters: u64 = 20_000_000;
-    let t2 = Instant::now();
-    for i in 0..iters {
-        std::hint::black_box(&mut off).emit(|| Rec {
-            at: SimTime::from_millis(i),
-            kind: EventKind::Commit { txn: TxnId(i) },
-        });
-    }
-    let ns_per_emit = t2.elapsed().as_nanos() as f64 / iters as f64;
-    let events = data.counts.total();
-    let disabled_secs = events as f64 * ns_per_emit * 1e-9;
-    let mut o = JsonObj::new();
-    o.num("off_secs", off_secs);
-    o.num("on_secs", on_secs);
-    o.int("events", events);
-    o.num("ring_overhead_pct", (on_secs - off_secs) / off_secs * 100.0);
-    o.num("disabled_ns_per_event", ns_per_emit);
-    o.num("disabled_overhead_pct", disabled_secs / off_secs * 100.0);
-    bench.raw("trace", &o.finish());
-    eprintln!(
-        "[trace overhead: ring {:+.1}%, disabled path {:.3}% ({events} events, {ns_per_emit:.2} ns/emit)]",
-        (on_secs - off_secs) / off_secs * 100.0,
-        disabled_secs / off_secs * 100.0
-    );
-}
-
-/// Measure the timing-wheel event queue under steady-state churn (the
-/// access pattern of a long run): hold-N pending, each op pops the
-/// earliest event and schedules a replacement a mixed delay ahead. The
-/// `ns_per`-named fields are time-classified by `benchdiff`, so a
-/// complexity regression in the wheel trips the CI gate.
-fn measure_event_queue(bench: &mut JsonObj) {
-    use batchsched::des::rng::Xoshiro256;
-    use batchsched::des::EventQueue;
-    fn delay(r: &mut Xoshiro256) -> u64 {
-        match r.next_range(10) {
-            0..=5 => r.next_range(1 << 8),
-            6..=8 => r.next_range(1 << 16),
-            _ => r.next_range(1 << 24),
-        }
-    }
-    let mut o = JsonObj::new();
-    for n in [1_000u64, 100_000] {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let mut r = Xoshiro256::seed_from_u64(7);
-        for i in 0..n {
-            q.schedule_at(SimTime::from_millis(delay(&mut r)), i);
-        }
-        let ops = 1_000_000u64;
-        let t0 = Instant::now();
-        let mut sum = 0u64;
-        for _ in 0..ops {
-            let s = q.pop().expect("queue never drains");
-            sum = sum.wrapping_add(s.event);
-            let at = q.now() + Duration::from_millis(delay(&mut r));
-            q.schedule_at(at, s.event);
-        }
-        let ns_per_op = t0.elapsed().as_nanos() as f64 / ops as f64;
-        std::hint::black_box(sum);
-        o.num(&format!("churn_hold_{n}_ns_per_op"), ns_per_op);
-        eprintln!("[event_queue churn hold-{n}: {ns_per_op:.1} ns/op]");
-    }
-    bench.raw("event_queue", &o.finish());
-}
-
-/// Time a variant way of driving the C2PL Fig. 8 point (Exp. 1, 16
-/// files, λ = 1.1, 2000 s horizon) against the plain bulk run. After
-/// one warm-up run, both paths are timed three times, interleaved, and
-/// the minimum of each is kept: the quantity of interest is the
-/// variant's extra host cost, and minima damp the scheduler jitter of a
-/// shared machine far better than single runs (observed run-to-run
-/// spread is ±5 %). `variant` drives a fresh engine to the horizon; its
-/// report must be byte-identical to the plain one (`what` names the
-/// variant if not). Returns the plain and variant minima, the plain
-/// report and the last variant engine.
-fn time_against_plain(
-    what: &str,
-    mut variant: impl FnMut(&mut Engine),
-) -> (f64, f64, SimReport, Engine) {
-    let mut cfg = SimConfig::new(SchedulerKind::C2pl, WorkloadKind::Exp1 { num_files: 16 });
-    cfg.lambda_tps = 1.1;
-    // Long enough (~15k events) that dispatch cost dominates timer
-    // granularity; still a few tens of milliseconds per pass.
-    cfg.horizon = Duration::from_secs(2_000);
-    let mut plain_secs = f64::INFINITY;
-    let mut variant_secs = f64::INFINITY;
-    let mut plain = Engine::run(&cfg);
-    let mut engine = Engine::new(&cfg);
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        plain = Engine::run(&cfg);
-        plain_secs = plain_secs.min(t0.elapsed().as_secs_f64());
-        engine = Engine::new(&cfg);
-        let t1 = Instant::now();
-        variant(&mut engine);
-        variant_secs = variant_secs.min(t1.elapsed().as_secs_f64());
-        assert_eq!(
-            engine.report().to_json(),
-            plain.to_json(),
-            "{what} perturbed the simulation"
-        );
-    }
-    (plain_secs, variant_secs, plain, engine)
-}
-
-/// Measure step-dispatch overhead: drive the fixed point once through
-/// the bulk `run_to_horizon` loop and once one event at a time through
-/// `Engine::step`, and charge the difference per event. The reports
-/// must be byte-identical (there is only one event loop); the budget
-/// for the dispatch overhead is ≤ 2 % (gated via the `_pct`
-/// classification in `benchdiff`).
-fn measure_step_overhead(bench: &mut JsonObj) {
-    let mut events = 0u64;
-    let (bulk_secs, step_secs, bulk, _) = time_against_plain("stepping", |e| {
-        events = 0;
-        while e.step().is_some() {
-            events += 1;
-        }
-    });
-    assert_eq!(events, bulk.events);
-    let overhead_pct = (step_secs - bulk_secs) / bulk_secs * 100.0;
-    let ns_per_event = (step_secs - bulk_secs).max(0.0) * 1e9 / events as f64;
-    let mut o = JsonObj::new();
-    o.num("bulk_secs", bulk_secs);
-    o.num("step_secs", step_secs);
-    o.int("events", events);
-    o.num("step_overhead_pct", overhead_pct);
-    o.num("step_overhead_ns_per_event", ns_per_event);
-    bench.raw("engine", &o.finish());
-    eprintln!(
-        "[engine step overhead: {overhead_pct:+.2}% ({ns_per_event:.2} ns/event over {events} events)]"
-    );
-}
-
-/// Measure host-profiler overhead: the fixed point once plain and once
-/// with the profiler installed. The reports must be byte-identical —
-/// probes never touch simulation state — and the profiled-path budget
-/// is ≤ 2 %, gated via the `_pct` classification in `benchdiff`
-/// exactly like step dispatch.
-fn measure_obs_overhead(bench: &mut JsonObj) {
-    use batchsched::obs::Profiler;
-    let (plain_secs, prof_secs, plain, mut engine) = time_against_plain("profiling", |e| {
-        e.set_profiler(Profiler::on());
-        e.run_to_horizon();
-    });
-    let prof = engine.take_profile().expect("profiler was installed");
-    let probes: u64 = prof.phases.iter().map(|p| p.count).sum();
-    let overhead_pct = (prof_secs - plain_secs) / plain_secs * 100.0;
-    let mut o = JsonObj::new();
-    o.num("plain_secs", plain_secs);
-    o.num("profiled_secs", prof_secs);
-    o.int("events", plain.events);
-    o.int("phase_probes", probes);
-    o.num("obs_overhead_pct", overhead_pct);
-    bench.raw("obs", &o.finish());
-    eprintln!(
-        "[obs overhead: {overhead_pct:+.2}% ({probes} probes over {} events)]",
-        plain.events
-    );
-}
-
-/// Wall-clock one fixed high-contention Fig. 8 point (Exp. 1, 16 files,
-/// λ = 1.1, 200 s horizon) per paper scheduler. The scheduler decision
-/// hot path dominates this point, so these timings track the
-/// arena/incremental-engine optimizations release over release; see
-/// `benches/wtpg_hot_path.rs` for the isolated decision microbenchmark.
-fn measure_scheduler_wallclock(bench: &mut JsonObj) {
-    let mut rows: Vec<String> = Vec::new();
-    for kind in SchedulerKind::PAPER_SET {
-        let mut cfg = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
-        cfg.lambda_tps = 1.1;
-        cfg.horizon = Duration::from_secs(200);
-        let label = kind.label();
-        let t0 = Instant::now();
-        let report = Engine::run(&cfg);
-        let secs = t0.elapsed().as_secs_f64();
-        let mut o = JsonObj::new();
-        o.str("scheduler", &label);
-        o.num("secs", secs);
-        o.int("completed", report.completed);
-        rows.push(o.finish());
-        eprintln!(
-            "[sched {label}: {secs:.3}s wall, {} committed]",
-            report.completed
-        );
-    }
-    bench.raw("schedulers", &format!("[{}]", rows.join(",")));
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -945,7 +687,7 @@ fn main() {
     // e.g. fig10 assembles entirely from table3's grid.
     let ctx = ExecCtx::new(opts.jobs);
     let t_all = Instant::now();
-    let mut timings: Vec<String> = Vec::new();
+    let mut artifacts: Vec<String> = Vec::new();
     for id in &ids {
         let t0 = Instant::now();
         let runs_before = ctx.cache().sim_runs();
@@ -969,10 +711,9 @@ fn main() {
         eprintln!("[{id} done in {secs:.1}s — {sim_runs} sim runs, {cache_hits} cache hits]");
         let mut o = JsonObj::new();
         o.str("id", id);
-        o.num("secs", secs);
         o.int("sim_runs", sim_runs);
         o.int("cache_hits", cache_hits);
-        timings.push(o.finish());
+        artifacts.push(o.finish());
     }
     if let Some(dir) = &trace_dir {
         write_trace_exports(dir, &opts);
@@ -985,25 +726,21 @@ fn main() {
     }
     let mut bench = JsonObj::new();
     bench.str("bin", "repro");
-    measure_trace_overhead(&mut bench);
-    measure_step_overhead(&mut bench);
-    measure_obs_overhead(&mut bench);
-    measure_scheduler_wallclock(&mut bench);
-    measure_event_queue(&mut bench);
     bench.int("jobs", opts.jobs as u64);
     bench.raw("quick", if quick { "true" } else { "false" });
     bench.num("horizon_secs", opts.horizon.as_secs_f64());
     bench.int("bisect_iters", u64::from(opts.bisect_iters));
-    bench.num("total_secs", t_all.elapsed().as_secs_f64());
     bench.int("total_sim_runs", ctx.cache().sim_runs());
     bench.int("total_cache_hits", ctx.cache().hits());
     bench.int("distinct_points", ctx.cache().len() as u64);
-    bench.raw("artifacts", &format!("[{}]", timings.join(",")));
+    bench.raw("artifacts", &format!("[{}]", artifacts.join(",")));
     let json = bench.finish();
     if let Err(e) = std::fs::write("BENCH_repro.json", format!("{json}\n")) {
         eprintln!("warning: could not write BENCH_repro.json: {e}");
     } else {
-        eprintln!("wrote BENCH_repro.json");
+        eprintln!(
+            "wrote BENCH_repro.json ({:.1}s total)",
+            t_all.elapsed().as_secs_f64()
+        );
     }
-    print_baseline_delta(&json);
 }

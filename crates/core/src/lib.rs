@@ -24,7 +24,8 @@
 //! * [`telemetry`] (the `bds-metrics` crate) — sim-time series sampling
 //!   ([`engine::Engine::run_with_metrics`]), the log-bucketed
 //!   response-time histogram behind `rt_p50/p90/p99`, Prometheus/CSV/
-//!   JSON exporters, and the `benchdiff` bench regression gate.
+//!   JSON exporters, and the exact-count comparison behind the
+//!   `benchdiff` bench regression gate.
 //!
 //! ## Quickstart
 //!

@@ -12,8 +12,8 @@
 //!   predictable branch per event when disabled, mirroring
 //!   `bds-trace::Tracer`.
 //! * [`export`]/[`jsonv`]/[`regress`] — Prometheus text and sparkline
-//!   rendering, a JSON reader, and the bench-regression comparison core
-//!   used by the `benchdiff` CLI and `repro`'s baseline delta line.
+//!   rendering, a JSON reader, and the exact bench-regression comparison
+//!   core of the `benchdiff` CLI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,5 +29,5 @@ pub use export::{check_exposition, sparkline, PromText};
 pub use hist::{LogHistogram, REL_ERROR, TICKS_PER_SEC};
 pub use instrument::{Counter, Gauge};
 pub use jsonv::{parse, JsonValue};
-pub use regress::{compare, DiffReport, Tolerances};
+pub use regress::{compare, DiffReport};
 pub use series::{ActiveSampler, Sampler, TimeSeries};

@@ -1,11 +1,12 @@
 //! Trace/report cross-accounting: the tracer's exact event counters must
 //! reconcile with the simulator's own `SimReport` statistics for every
-//! scheduler, and turning tracing on must not change the simulation at
-//! all (the report stays byte-identical).
+//! scheduler, and turning tracing or the host profiler on must not
+//! change the simulation at all (the report stays byte-identical).
 
 use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::Duration;
 use batchsched::engine::Engine;
+use batchsched::obs::Profiler;
 use batchsched::trace::{chrome_trace, Analysis};
 use bds_sched::SchedulerKind;
 
@@ -73,19 +74,22 @@ fn wdl_restart_counters_balance() {
 
 #[test]
 fn tracing_does_not_change_the_report() {
-    for kind in [
-        SchedulerKind::C2pl,
-        SchedulerKind::Gow,
-        SchedulerKind::Opt,
-        SchedulerKind::Wdl,
-    ] {
+    for kind in SchedulerKind::ALL {
         let c = cfg(kind);
-        let plain = Engine::run(&c);
+        let plain = Engine::run(&c).to_json();
         let (traced, _) = Engine::run_traced(&c, CAPACITY);
         assert_eq!(
-            plain.to_json(),
+            plain,
             traced.to_json(),
             "{kind}: tracing perturbed the simulation"
+        );
+        let mut profiled = Engine::new(&c);
+        profiled.set_profiler(Profiler::on());
+        profiled.run_to_horizon();
+        assert_eq!(
+            plain,
+            profiled.report().to_json(),
+            "{kind}: profiling perturbed the simulation"
         );
     }
 }
