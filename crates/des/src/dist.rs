@@ -174,30 +174,6 @@ impl Discrete {
         Discrete { cumulative }
     }
 
-    /// The normalized cumulative weight table, for checkpointing.
-    pub fn state(&self) -> &[f64] {
-        &self.cumulative
-    }
-
-    /// Rebuild from a cumulative table captured by [`Discrete::state`].
-    ///
-    /// # Panics
-    /// Panics if the table is empty, non-monotone, or does not end at 1.0
-    /// (within rounding).
-    pub fn from_state(cumulative: Vec<f64>) -> Self {
-        assert!(!cumulative.is_empty(), "Discrete: empty cumulative table");
-        assert!(
-            cumulative.windows(2).all(|w| w[0] <= w[1]),
-            "Discrete: cumulative table must be non-decreasing"
-        );
-        let last = *cumulative.last().unwrap();
-        assert!(
-            (last - 1.0).abs() < 1e-9,
-            "Discrete: cumulative table must end at 1.0, got {last}"
-        );
-        Discrete { cumulative }
-    }
-
     /// Draw an index.
     pub fn sample_index(&self, rng: &mut Xoshiro256) -> usize {
         let u = rng.next_f64();
@@ -339,18 +315,6 @@ mod tests {
             for _ in 0..7 {
                 assert_eq!(d2.sample(&mut r2), d.sample(&mut r));
             }
-        }
-    }
-
-    #[test]
-    fn discrete_state_round_trip_is_identical() {
-        let d = Discrete::new(&[1.0, 3.0, 0.0, 6.0]);
-        let d2 = Discrete::from_state(d.state().to_vec());
-        assert_eq!(d, d2);
-        let mut ra = rng();
-        let mut rb = rng();
-        for _ in 0..10_000 {
-            assert_eq!(d.sample_index(&mut ra), d2.sample_index(&mut rb));
         }
     }
 

@@ -261,63 +261,6 @@ impl<E> EventQueue<E> {
         Some(best)
     }
 
-    /// All pending events in pop order, for checkpointing. The queue is
-    /// left untouched.
-    ///
-    /// Pop order is insertion order within each firing time. The wheel
-    /// keeps every pending event at the level determined by the current
-    /// clock, and that level is a pure function of `(at, now)` — so all
-    /// entries sharing a firing time live in *one* container, in insertion
-    /// order, and a stable sort by firing time across containers
-    /// reconstructs the global pop order.
-    pub fn snapshot_entries(&self) -> Vec<Scheduled<E>>
-    where
-        E: Clone,
-    {
-        let mut out: Vec<Scheduled<E>> = Vec::with_capacity(self.pending);
-        let entries = self
-            .slots
-            .iter()
-            .flatten()
-            .chain(self.overflow.values().flat_map(|b| &b.entries));
-        out.extend(entries.map(|e| Scheduled {
-            at: SimTime(e.at),
-            event: e.event.clone(),
-        }));
-        out.sort_by_key(|s| s.at);
-        debug_assert_eq!(out.len(), self.pending);
-        out
-    }
-
-    /// Rebuild a queue from a checkpoint: the clock, the pop counter, and
-    /// the pending events in pop order (as returned by
-    /// [`EventQueue::snapshot_entries`]).
-    ///
-    /// # Panics
-    /// Panics if `entries` is not sorted by firing time or schedules in
-    /// the past relative to `now`.
-    pub fn from_snapshot(now: SimTime, popped: u64, entries: Vec<Scheduled<E>>) -> Self {
-        let mut q = EventQueue::new();
-        q.now = now;
-        q.popped = popped;
-        let mut prev = now;
-        for s in entries {
-            assert!(
-                s.at >= prev,
-                "EventQueue::from_snapshot: entries out of order ({:?} < {:?})",
-                s.at,
-                prev
-            );
-            prev = s.at;
-            q.pending += 1;
-            q.place(Entry {
-                at: s.at.0,
-                event: s.event,
-            });
-        }
-        q
-    }
-
     /// Insert an entry at the level determined by the current clock.
     fn place(&mut self, e: Entry<E>) {
         let diff = e.at ^ self.now.0;
@@ -465,48 +408,6 @@ mod tests {
         q.schedule_at(SimTime::from_millis(1000), "b");
         assert_eq!(q.pop().unwrap().event, "a");
         assert_eq!(q.pop().unwrap().event, "b");
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_pop_order() {
-        // Mix of same-instant runs, cascade-straddling times, and a
-        // far-future overflow entry; snapshot mid-run and check the
-        // rebuilt queue pops identically to the original.
-        let mut q = EventQueue::new();
-        let times: [u64; 12] = [
-            5,
-            5,
-            5,
-            255,
-            256,
-            1000,
-            1000,
-            65_536,
-            (1 << 24) + 3,
-            (1 << 33) + 17,
-            (1 << 33) + 17,
-            7,
-        ];
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(SimTime::from_millis(t), i);
-        }
-        for _ in 0..3 {
-            q.pop();
-        }
-        // Same-instant push after the clock moved: must stay after the
-        // earlier same-instant entries in both queues.
-        q.schedule_at(SimTime::from_millis(1000), 99usize);
-        let mut r = EventQueue::from_snapshot(q.now(), q.events_processed(), q.snapshot_entries());
-        assert_eq!(r.now(), q.now());
-        assert_eq!(r.len(), q.len());
-        assert_eq!(r.events_processed(), q.events_processed());
-        loop {
-            match (q.pop(), r.pop()) {
-                (None, None) => break,
-                (a, b) => assert_eq!(a, b),
-            }
-        }
-        assert_eq!(r.now(), q.now());
     }
 
     #[test]

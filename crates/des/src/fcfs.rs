@@ -111,27 +111,6 @@ impl FcfsServer {
         self.jobs
     }
 
-    /// The full server state `(free_at, busy, total_demand, jobs)`, for
-    /// checkpointing.
-    pub fn state(&self) -> (SimTime, TimeWeighted, Duration, u64) {
-        (self.free_at, self.busy, self.total_demand, self.jobs)
-    }
-
-    /// Rebuild a server from a state captured by [`FcfsServer::state`].
-    pub fn from_state(
-        free_at: SimTime,
-        busy: TimeWeighted,
-        total_demand: Duration,
-        jobs: u64,
-    ) -> Self {
-        FcfsServer {
-            free_at,
-            busy,
-            total_demand,
-            jobs,
-        }
-    }
-
     /// Utilization over `[start, now]`: busy time divided by elapsed time.
     ///
     /// Computed from total accepted demand (exact for a work-conserving

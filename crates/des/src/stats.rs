@@ -81,26 +81,6 @@ impl Welford {
         self.max
     }
 
-    /// Raw accumulator state `(count, mean, m2, min, max)`, for
-    /// checkpointing. Restoring it bit-exactly with
-    /// [`Welford::from_state`] resumes the stream of observations with
-    /// no loss of precision.
-    pub fn state(&self) -> (u64, f64, f64, Option<f64>, Option<f64>) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuild an accumulator from a state captured by
-    /// [`Welford::state`].
-    pub fn from_state(count: u64, mean: f64, m2: f64, min: Option<f64>, max: Option<f64>) -> Self {
-        Welford {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
     /// Merge another accumulator into this one (parallel Welford).
     pub fn merge(&mut self, other: &Welford) {
         if other.count == 0 {
@@ -169,23 +149,6 @@ impl TimeWeighted {
     /// Current value of the signal.
     pub fn current(&self) -> f64 {
         self.value
-    }
-
-    /// Raw state `(last_change, value, weighted_sum, start)`, for
-    /// checkpointing; restore with [`TimeWeighted::from_state`].
-    pub fn state(&self) -> (SimTime, f64, f64, SimTime) {
-        (self.last_change, self.value, self.weighted_sum, self.start)
-    }
-
-    /// Rebuild a tracker from a state captured by
-    /// [`TimeWeighted::state`].
-    pub fn from_state(last_change: SimTime, value: f64, weighted_sum: f64, start: SimTime) -> Self {
-        TimeWeighted {
-            last_change,
-            value,
-            weighted_sum,
-            start,
-        }
     }
 
     /// Time average over `[start, now]`.

@@ -165,18 +165,6 @@ impl IdMap {
         }
     }
 
-    /// All live `(key, value)` pairs in unspecified order. Callers that
-    /// need determinism (the checkpoint layer) must sort the result —
-    /// bucket order depends on insertion history.
-    pub(crate) fn pairs(&self) -> Vec<(u64, u64)> {
-        self.keys
-            .iter()
-            .zip(&self.vals)
-            .filter(|&(&k, _)| k != EMPTY)
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-
     fn grow(&mut self) {
         let new_cap = (self.mask + 1) * 2;
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
@@ -261,10 +249,15 @@ impl<V> Arena<V> {
         self.slots[slot as usize].take()
     }
 
-    /// All live ids in unspecified order (see [`IdMap::pairs`]); the
-    /// checkpoint layer sorts before use.
+    /// All live ids in unspecified order: bucket order depends on
+    /// insertion history, so callers that need determinism must sort.
     pub(crate) fn ids(&self) -> Vec<u64> {
-        self.index.pairs().into_iter().map(|(k, _)| k).collect()
+        self.index
+            .keys
+            .iter()
+            .copied()
+            .filter(|&k| k != EMPTY)
+            .collect()
     }
 
     /// Arena occupancy as `(allocated_slots, free_listed_slots)`; the
@@ -390,17 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn pairs_and_ids_enumerate_live_entries() {
-        let mut m = IdMap::new();
-        for i in 1..=50u64 {
-            m.insert(i, i * 2);
-        }
-        m.remove(10);
-        let mut pairs = m.pairs();
-        pairs.sort_unstable();
-        let expect: Vec<(u64, u64)> = (1..=50).filter(|&i| i != 10).map(|i| (i, i * 2)).collect();
-        assert_eq!(pairs, expect);
-
+    fn arena_ids_enumerate_live_entries() {
         let mut a: Arena<u64> = Arena::new();
         for i in [3u64, 1, 7] {
             a.insert(i, i);

@@ -24,10 +24,12 @@
 //! Every response carries `"ok":true` or `"ok":false` plus `"error"`.
 //! Bad input is refused with `"ok":false` and leaves the session as it
 //! was: `configure` rejects unknown keys, non-integral or out-of-range
-//! integers and an `mpl` of 0; `submit` rejects a step `file` that is
-//! not an integer naming one of the workload's files; `restore` rejects
-//! a snapshot that [`bds_engine::Snapshot::check_restore`] refuses under
-//! the configured base. `configure`
+//! integers and an `mpl` of 0; `submit` rejects a transaction that
+//! [`bds_engine::validate_spec`] refuses (for example a step `file` that
+//! does not name one of the workload's files); `restore` rejects a
+//! snapshot taken under another configuration or whose replay diverges
+//! from its recorded check values
+//! ([`bds_engine::Engine::restore_with_profiler`]). `configure`
 //! accepts `scheduler`, `workload`, `lambda`, `dd`, `horizon_s`, `seed`,
 //! `mpl`, `faults`, `metrics_dt_ms` and `profile`. The engine runs every
 //! session on one serial event loop.
@@ -53,7 +55,7 @@
 
 use bds_des::time::{Duration, SimTime};
 use bds_engine::config::{SimConfig, WorkloadKind};
-use bds_engine::engine::{AbortCause, Engine};
+use bds_engine::engine::{validate_spec, AbortCause, Engine};
 use bds_engine::snapshot::Snapshot;
 use bds_fault::FaultPlan;
 use bds_metrics::{parse, JsonValue, PromText};
@@ -492,16 +494,13 @@ impl Session {
             let file = parts
                 .get(1)
                 .and_then(JsonValue::as_num)
-                .filter(|f| f.fract() == 0.0 && (0.0..f64::from(num_files)).contains(f))
+                .filter(|f| f.fract() == 0.0 && (0.0..f64::from(u32::MAX)).contains(f))
                 .ok_or_else(|| format!("step {i}: file must be an integer in 0..{num_files}"))?
                 as u32;
             let cost = parts
                 .get(2)
                 .and_then(JsonValue::as_num)
                 .ok_or_else(|| format!("step {i}: missing cost"))?;
-            if !(cost.is_finite() && cost > 0.0) {
-                return Err(format!("step {i}: bad cost {cost}"));
-            }
             let mut step = match op {
                 "r" => Step::read(FileId(file), LockMode::Exclusive, cost),
                 "rs" => Step::read(FileId(file), LockMode::Shared, cost),
@@ -509,18 +508,15 @@ impl Session {
                 other => return Err(format!("step {i}: unknown op {other:?}")),
             };
             if let Some(declared) = parts.get(3).and_then(JsonValue::as_num) {
-                if !(declared.is_finite() && declared >= 0.0) {
-                    return Err(format!("step {i}: bad declared {declared}"));
-                }
-                step = step.with_declared(declared);
+                step.declared = declared;
             }
             steps.push(step);
         }
-        if steps.is_empty() {
-            return Err("submit wants at least one step".into());
-        }
+        // Not `BatchSpec::new`, which asserts what the validator refuses.
+        let spec = BatchSpec { steps };
+        validate_spec(&spec, num_files)?;
         let e = self.engine()?;
-        let txn = e.submit(BatchSpec::new(steps));
+        let txn = e.submit(spec);
         let mut o = ok();
         o.int("txn", txn.0);
         o.int("now_ms", e.now().as_millis());
@@ -560,16 +556,20 @@ impl Session {
             .cfg
             .as_ref()
             .ok_or("no session: send configure first (it sets the base config)")?;
-        snap.check_restore(base)?;
         // Carry the session's profiler across the rebuild so a watch or
         // profile spanning a restore keeps one continuous timeline (the
-        // rebuild itself lands in the `restore` phase).
-        let obs = self
+        // replay itself lands in the `restore` phase). A refused snapshot
+        // hands the profiler back to the session's engine.
+        let mut obs = self
             .engine
             .as_mut()
             .map(Engine::take_profiler)
             .unwrap_or_default();
-        let engine = Engine::restore_with_profiler(base, &snap, obs);
+        let restored = Engine::restore_with_profiler(base, &snap, &mut obs);
+        if let (Err(_), Some(e)) = (&restored, self.engine.as_mut()) {
+            e.set_profiler(obs);
+        }
+        let engine = restored?;
         let mut o = ok();
         o.str("scheduler", engine.label());
         o.int("now_ms", engine.now().as_millis());

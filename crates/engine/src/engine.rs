@@ -35,21 +35,23 @@
 //! [`Engine::run_with_metrics`] build an engine, run it to the horizon
 //! and return the report (plus the trace or series).
 //!
-//! Four optional observers ride on the hot loop, each costing one
+//! Three optional observers ride on the hot loop, each costing one
 //! predictable branch when off (the same pattern as `bds-trace`'s
-//! `Tracer`): the tracer, the metrics sampler, the host-side profiler
-//! and the scheduler op-log.
-//! The tracer is the one lifecycle stream: every externally visible fact
-//! (arrival, admission, grant, block, commit, abort, fault) is emitted
-//! once, as a [`Rec`]. The op-log behind [`Engine::snapshot`] is enabled
-//! by [`Engine::enable_checkpointing`] and records every scheduler call
-//! so a restore can rebuild the scheduler by replay (schedulers are
-//! deterministic, RNG-free state machines).
+//! `Tracer`): the tracer, the metrics sampler and the host-side
+//! profiler. The tracer is the one lifecycle stream: every externally
+//! visible fact (arrival, admission, grant, block, commit, abort, fault)
+//! is emitted once, as a [`Rec`].
+//!
+//! [`Engine::enable_checkpointing`] records the external calls that
+//! change simulation state (submit, scheduler swap, sampler on/off);
+//! nothing on the event loop. The run is deterministic, so
+//! [`Engine::snapshot`] is that input log and [`Engine::restore`]
+//! replays it against a fresh engine (see [`crate::snapshot`]).
 
 use crate::arena::{Arena, IdMap};
 use crate::config::SimConfig;
 use crate::metrics::SimReport;
-use crate::snapshot::{DpnState, HistState, MetricsState, SchedOp, Snapshot};
+use crate::snapshot::{Call, Input, Mark, Snapshot};
 use bds_des::events::Scheduled;
 use bds_des::fcfs::FcfsServer;
 use bds_des::stats::{TimeWeighted, Welford};
@@ -63,7 +65,8 @@ use bds_sched::{ReqDecision, Scheduler, SchedulerKind, StartDecision};
 use bds_trace::{EventKind, Rec, TraceData, Tracer};
 use bds_workload::arrivals::PoissonArrivals;
 use bds_workload::gen::WorkloadGen;
-use bds_workload::{BatchSpec, FileId};
+use bds_workload::spec::Access;
+use bds_workload::{BatchSpec, FileId, LockMode};
 use bds_wtpg::TxnId;
 use std::collections::VecDeque;
 
@@ -71,7 +74,7 @@ pub use bds_trace::AbortCause;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Event {
+enum Event {
     /// The next transaction arrives.
     Arrival,
     /// The CN finished a processing phase for a transaction.
@@ -93,7 +96,7 @@ pub(crate) enum Event {
 
 /// CN processing phases.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Phase {
+enum Phase {
     /// Startup (`sot_time`) done; begin step 0.
     Started,
     /// Lock granted and send message processed; dispatch cohorts.
@@ -106,33 +109,33 @@ pub(crate) enum Phase {
 
 /// Why a pending request is waiting.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum WaitKind {
+enum WaitKind {
     Blocked,
     Delayed,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct PendingReq {
+struct PendingReq {
     /// Submission sequence number; the `pending` vec is kept in
     /// ascending `seq` order, which is also retry order.
-    pub(crate) seq: u64,
-    pub(crate) id: TxnId,
-    pub(crate) step: usize,
-    pub(crate) file: FileId,
-    pub(crate) kind: WaitKind,
-    pub(crate) eligible: bool,
+    seq: u64,
+    id: TxnId,
+    step: usize,
+    file: FileId,
+    kind: WaitKind,
+    eligible: bool,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Txn {
-    pub(crate) spec: BatchSpec,
-    pub(crate) arrival: SimTime,
-    pub(crate) step: usize,
-    pub(crate) outstanding_cohorts: u32,
-    pub(crate) ever_started: bool,
+struct Txn {
+    spec: BatchSpec,
+    arrival: SimTime,
+    step: usize,
+    outstanding_cohorts: u32,
+    ever_started: bool,
     /// How many times a fault has killed an attempt of this
     /// transaction; drives the retry backoff and the permanent-kill cap.
-    pub(crate) fault_kills: u32,
+    fault_kills: u32,
 }
 
 /// The incremental step engine (see the module docs).
@@ -146,7 +149,7 @@ pub struct Engine {
     genr: Box<dyn WorkloadGen>,
     /// In-flight transactions in a slot arena (free-list reuse; see
     /// [`crate::arena`]) — never iterated on the hot path, so the
-    /// unordered index is determinism-safe (the checkpoint layer sorts).
+    /// unordered index is determinism-safe (the scheduler swap sorts).
     txns: Arena<Txn>,
     start_queue: VecDeque<TxnId>,
     /// Blocked/delayed lock requests in ascending `seq` order (inserts
@@ -218,9 +221,12 @@ pub struct Engine {
     /// Counter/busy-time snapshot at the previous metrics sample, for
     /// per-window rates and utilizations.
     metrics_prev: PrevSample,
-    /// Scheduler op-log for [`Engine::snapshot`]; `None` (one branch
-    /// per scheduler call) unless [`Engine::enable_checkpointing`] ran.
-    oplog: Option<Vec<SchedOp>>,
+    /// External calls recorded for [`Engine::snapshot`]; `None` unless
+    /// [`Engine::enable_checkpointing`] ran.
+    inputs: Option<Vec<Input>>,
+    /// The scheduler a restore starts from: the one running when
+    /// checkpointing was enabled (later swaps are inputs).
+    start_kind: SchedulerKind,
     /// True while [`Engine::swap_scheduler`] drains in-flight work:
     /// admissions pause so the live set runs dry.
     admission_hold: bool,
@@ -237,15 +243,15 @@ pub struct Engine {
 /// Snapshot of cumulative quantities at the last metrics sample, for
 /// windowed rates.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct PrevSample {
-    pub(crate) at_ms: u64,
-    pub(crate) arrived: u64,
-    pub(crate) completed: u64,
-    pub(crate) restarts: u64,
-    pub(crate) denied: u64,
-    pub(crate) lock_requests: u64,
-    pub(crate) cn_busy_ms: f64,
-    pub(crate) dpn_busy_ms: Vec<f64>,
+struct PrevSample {
+    at_ms: u64,
+    arrived: u64,
+    completed: u64,
+    restarts: u64,
+    denied: u64,
+    lock_requests: u64,
+    cn_busy_ms: f64,
+    dpn_busy_ms: Vec<f64>,
 }
 
 /// Column names of the metrics time series, in row order.
@@ -352,7 +358,8 @@ impl Engine {
             rt_log: LogHistogram::new(),
             metrics: Sampler::Off,
             metrics_prev: PrevSample::default(),
-            oplog: None,
+            inputs: None,
+            start_kind: cfg.scheduler,
             obs: Profiler::Off,
             admission_hold: false,
             custom_scheduler: false,
@@ -371,6 +378,7 @@ impl Engine {
     /// Enable metrics sampling at the given simulated-time interval
     /// (replace any previous sampler). Call before driving the engine.
     pub fn set_metrics_interval(&mut self, dt: Duration) {
+        self.record(|| Call::Metrics(Some(dt)));
         let names = metric_columns(self.cfg.costs.num_nodes);
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         self.metrics = Sampler::every_ms(dt.as_millis(), &refs);
@@ -383,6 +391,9 @@ impl Engine {
     /// Detach the sampler and return the series (`None` when sampling
     /// was off).
     pub fn take_metrics(&mut self) -> Option<TimeSeries> {
+        if self.metrics.enabled() {
+            self.record(|| Call::Metrics(None));
+        }
         std::mem::take(&mut self.metrics).finish()
     }
 
@@ -426,9 +437,11 @@ impl Engine {
         self.obs.report()
     }
 
-    /// Start recording the scheduler op-log that [`Engine::snapshot`]
-    /// embeds. Must run before the first event so the replayed
-    /// scheduler sees its complete call history.
+    /// Start recording the input log that [`Engine::snapshot`] returns.
+    /// Must run before the first event so a restore can replay the whole
+    /// run. An active metrics sampler is logged as the first input;
+    /// transactions submitted earlier are not, so a snapshot of such a
+    /// run is refused on restore.
     ///
     /// # Panics
     /// Panics if events were already processed or a custom scheduler is
@@ -443,17 +456,39 @@ impl Engine {
             !self.custom_scheduler,
             "checkpointing cannot rebuild a custom scheduler"
         );
-        if self.oplog.is_none() {
-            self.oplog = Some(Vec::new());
+        if self.inputs.is_some() {
+            return;
+        }
+        self.start_kind = self.cfg.scheduler;
+        let mut inputs = Vec::new();
+        if let Sampler::On(s) = &self.metrics {
+            inputs.push(Input {
+                at: Mark {
+                    events: 0,
+                    next_sample_ms: None,
+                },
+                call: Call::Metrics(Some(Duration::from_millis(s.series.dt_ms()))),
+            });
+        }
+        self.inputs = Some(inputs);
+    }
+
+    /// Where the run stands between events (see [`Mark`]).
+    fn mark(&self) -> Mark {
+        Mark {
+            events: self.events.events_processed(),
+            next_sample_ms: match &self.metrics {
+                Sampler::On(s) => Some(s.next_ms()),
+                Sampler::Off => None,
+            },
         }
     }
 
-    /// Append a scheduler op when checkpointing is enabled (one
-    /// predictable branch when off).
-    #[inline(always)]
-    fn op(&mut self, make: impl FnOnce() -> SchedOp) {
-        if let Some(log) = &mut self.oplog {
-            log.push(make());
+    /// Log an external call when checkpointing is enabled.
+    fn record(&mut self, call: impl FnOnce() -> Call) {
+        let at = self.mark();
+        if let Some(log) = &mut self.inputs {
+            log.push(Input { at, call: call() });
         }
     }
 
@@ -755,7 +790,7 @@ impl Engine {
             "replace_scheduler after events were processed"
         );
         assert!(
-            self.oplog.is_none(),
+            self.inputs.is_none(),
             "replace_scheduler is incompatible with checkpointing"
         );
         self.custom_scheduler = true;
@@ -766,7 +801,6 @@ impl Engine {
     /// Drain the precedence constraints the scheduler observed — used by
     /// the serializability audit in the integration tests.
     pub fn drain_constraints(&mut self) -> Vec<(TxnId, TxnId)> {
-        self.op(|| SchedOp::Drain);
         self.scheduler.drain_constraints()
     }
 
@@ -829,7 +863,6 @@ impl Engine {
         if !self.tracer.has_ring() {
             return;
         }
-        self.op(|| SchedOp::Drain);
         let now = self.now();
         for (from, to) in self.scheduler.drain_constraints() {
             self.tracer.emit(|| Rec {
@@ -877,10 +910,6 @@ impl Engine {
         for s in &mut spec.steps {
             s.declared /= dd;
         }
-        self.op(|| SchedOp::Register {
-            id,
-            spec: spec.clone(),
-        });
         self.scheduler.register(id, spec.clone());
         self.txns.insert(
             id.0,
@@ -918,7 +947,14 @@ impl Engine {
     /// outside the Poisson arrival process (the `bds-serve` front uses
     /// this). The spec's declared demands are DD-scaled exactly like
     /// generated arrivals. Returns the assigned id.
+    ///
+    /// # Panics
+    /// Panics if [`validate_spec`] refuses the spec for this workload.
     pub fn submit(&mut self, spec: BatchSpec) -> TxnId {
+        if let Err(err) = validate_spec(&spec, self.genr.num_files()) {
+            panic!("submit: {err}");
+        }
+        self.record(|| Call::Submit(spec.clone()));
         let id = self.enroll(spec);
         self.try_admissions();
         id
@@ -943,7 +979,6 @@ impl Engine {
                 break;
             }
             let id = self.start_queue[i];
-            self.op(|| SchedOp::TryStart { id });
             let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
             let outcome = self.scheduler.try_start(id);
             self.obs.phase_end(tok);
@@ -1033,7 +1068,6 @@ impl Engine {
                 file,
             },
         });
-        self.op(|| SchedOp::Request { id, step });
         let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
         let outcome = self.scheduler.request(id, step);
         self.obs.phase_end(tok);
@@ -1359,7 +1393,6 @@ impl Engine {
                 step: step as u32,
             },
         });
-        self.op(|| SchedOp::StepComplete { id, step });
         let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
         self.scheduler.step_complete(id, step);
         self.obs.phase_end(tok);
@@ -1382,7 +1415,6 @@ impl Engine {
 
     fn finish_txn(&mut self, id: TxnId) {
         let now = self.now();
-        self.op(|| SchedOp::Validate { id });
         let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
         let valid = self.scheduler.validate(id).decision;
         self.obs.phase_end(tok);
@@ -1393,7 +1425,6 @@ impl Engine {
         if valid {
             let mut touched = std::mem::take(&mut self.released_buf);
             touched.clear();
-            self.op(|| SchedOp::Commit { id });
             let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
             self.scheduler.commit_into(id, &mut touched);
             self.obs.phase_end(tok);
@@ -1456,10 +1487,8 @@ impl Engine {
         released.clear();
         let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
         if kill_for_good {
-            self.op(|| SchedOp::Forget { id });
             self.scheduler.forget(id, &mut released);
         } else {
-            self.op(|| SchedOp::Abort { id });
             self.scheduler.abort_into(id, &mut released);
         }
         self.obs.phase_end(tok);
@@ -1653,6 +1682,7 @@ impl Engine {
             !self.custom_scheduler,
             "swap_scheduler after replace_scheduler"
         );
+        self.record(|| Call::Swap(kind));
         self.admission_hold = true;
         let horizon = self.horizon();
         let mut drained = 0u64;
@@ -1665,9 +1695,6 @@ impl Engine {
         let mut sched = kind.build(&self.cfg.costs);
         let mut ids = self.txns.ids();
         ids.sort_unstable();
-        if let Some(log) = &mut self.oplog {
-            log.clear();
-        }
         for raw in ids {
             let spec = self
                 .txns
@@ -1675,12 +1702,7 @@ impl Engine {
                 .expect("listed txn vanished")
                 .spec
                 .clone();
-            let id = TxnId(raw);
-            self.op(|| SchedOp::Register {
-                id,
-                spec: spec.clone(),
-            });
-            sched.register(id, spec);
+            sched.register(TxnId(raw), spec);
         }
         self.scheduler = sched;
         self.label = kind.label();
@@ -1694,290 +1716,203 @@ impl Engine {
 
     // ----- checkpoint / restore ---------------------------------------
 
-    /// Capture the complete simulation state. Requires
-    /// [`Engine::enable_checkpointing`] to have run before the first
-    /// event (the scheduler is captured as its op-log). The tracer is
-    /// *not* captured: it is an observer, and a restored engine starts
-    /// with it off.
+    /// Capture the run as its input log (see [`crate::snapshot`]).
+    /// Requires [`Engine::enable_checkpointing`] to have run before the
+    /// first event. Observers (tracer, profiler) are not captured: a
+    /// restored engine starts with them off.
     ///
     /// # Panics
     /// Panics if checkpointing is not enabled.
     pub fn snapshot(&mut self) -> Snapshot {
         let tok = self.obs.phase_start(ObsPhase::Snapshot);
-        let snap = self.snapshot_inner();
+        let inputs = self
+            .inputs
+            .clone()
+            .expect("snapshot requires enable_checkpointing before the first event");
+        let mut start = self.cfg.clone();
+        start.scheduler = self.start_kind;
+        let snap = Snapshot {
+            cache_key: start.cache_key(),
+            scheduler: self.start_kind,
+            inputs,
+            end: self.mark(),
+            now: self.now(),
+            arrived: self.arrived,
+            completed: self.completed,
+            gen_cursor: self.genr.save_cursor(),
+        };
         self.obs.phase_end(tok);
         snap
     }
 
-    fn snapshot_inner(&mut self) -> Snapshot {
-        let oplog = self
-            .oplog
-            .as_ref()
-            .expect("snapshot requires enable_checkpointing before the first event")
-            .clone();
-        let gen_cursor = self
-            .genr
-            .save_cursor()
-            .expect("workload generator does not support checkpointing");
-        let (cn_free_at, cn_busy, cn_total_demand, cn_jobs) = self.cn.state();
-        let dpns = self
-            .dpns
-            .iter()
-            .map(|d| {
-                let (ready, running, busy, busy_time, completed) = d.state();
-                DpnState {
-                    ready,
-                    running,
-                    busy,
-                    busy_time,
-                    completed,
-                }
-            })
-            .collect();
-        let (arrivals_rng, arrivals_next) = self.arrivals.state();
-        let mut txns: Vec<(u64, Txn)> = self
-            .txns
-            .ids()
-            .into_iter()
-            .map(|id| (id, self.txns.get(id).expect("listed txn vanished").clone()))
-            .collect();
-        txns.sort_by_key(|&(id, _)| id);
-        let mut cohort_owner = self.cohort_owner.pairs();
-        cohort_owner.sort_unstable();
-        let hist_state = |h: &LogHistogram| {
-            let (counts, total, sum_ticks, min_ticks, max_ticks) = h.state();
-            HistState {
-                counts: counts.to_vec(),
-                total,
-                sum_ticks,
-                min_ticks,
-                max_ticks,
-            }
-        };
-        let retry_hist = hist_state(&self.retry_hist);
-        let rt_log = hist_state(&self.rt_log);
-        let metrics_prev = self.metrics_prev.clone();
-        let metrics = self.metrics.active().map(|s| MetricsState {
-            next_ms: s.next_ms(),
-            dt_ms: s.series.dt_ms(),
-            names: s.series.names().to_vec(),
-            times_ms: s.series.times_ms().to_vec(),
-            values: s.series.values().to_vec(),
-            prev: metrics_prev,
-        });
-        Snapshot {
-            cache_key: self.cfg.cache_key(),
-            scheduler: self.cfg.scheduler,
-            label: self.label.clone(),
-            now: self.events.now(),
-            events_popped: self.events.events_processed(),
-            events: self
-                .events
-                .snapshot_entries()
-                .into_iter()
-                .map(|s| (s.at, s.event))
-                .collect(),
-            cn_free_at,
-            cn_busy,
-            cn_total_demand,
-            cn_jobs,
-            dpns,
-            oplog,
-            arrivals_rng,
-            arrivals_next,
-            gen_cursor,
-            txns,
-            start_queue: self.start_queue.iter().map(|id| id.0).collect(),
-            pending: self.pending.clone(),
-            next_txn: self.next_txn,
-            next_seq: self.next_seq,
-            next_cohort: self.next_cohort,
-            cohort_owner,
-            live: self.live,
-            rt: self.rt,
-            arrived: self.arrived,
-            started: self.started,
-            completed: self.completed,
-            restarts: self.restarts,
-            lock_requests: self.lock_requests,
-            requests_denied: self.requests_denied,
-            retry_tick_armed: self.retry_tick_armed,
-            fault_rng: self.fault_rng.state(),
-            node_up: self.node_up.clone(),
-            dpn_epoch: self.dpn_epoch.clone(),
-            down_since: self.down_since.clone(),
-            downtime: self.downtime.clone(),
-            held_cohorts: self.held_cohorts.clone(),
-            aborts_validation: self.aborts_validation,
-            aborts_scheduler: self.aborts_scheduler,
-            aborts_fault: self.aborts_fault,
-            killed: self.killed,
-            retry_hist,
-            rt_log,
-            metrics,
-        }
-    }
-
-    /// [`Engine::restore`], timing the rebuild (including oplog replay)
-    /// under `obs`'s `Restore` phase and carrying `obs` onto the
-    /// restored engine. Restore builds a fresh engine, so the caller's
-    /// profiler must be moved across explicitly (see
-    /// [`Engine::take_profiler`]).
-    pub fn restore_with_profiler(base: &SimConfig, snap: &Snapshot, mut obs: Profiler) -> Engine {
+    /// [`Engine::restore`], returning an error instead of panicking and
+    /// timing the replay under `obs`'s `Restore` phase. On success the
+    /// restored engine takes over `obs` (leaving `Off` behind); on
+    /// failure `obs` stays with the caller.
+    ///
+    /// # Errors
+    /// Returns why the snapshot cannot be restored under `base`: another
+    /// configuration, an input the engine would refuse, or a replay that
+    /// does not reach the recorded check values.
+    pub fn restore_with_profiler(
+        base: &SimConfig,
+        snap: &Snapshot,
+        obs: &mut Profiler,
+    ) -> Result<Engine, String> {
         let tok = obs.phase_start(ObsPhase::Restore);
-        let mut e = Engine::restore(base, snap);
+        let replayed = Engine::replay(base, snap);
         obs.phase_end(tok);
-        e.obs = obs;
-        e
+        let mut e = replayed?;
+        e.obs = std::mem::take(obs);
+        Ok(e)
     }
 
-    /// Rebuild an engine from a snapshot. `base` must be the
-    /// configuration of the run that produced the snapshot (its
-    /// `scheduler` field is overridden by the snapshot's, so a snapshot
-    /// taken after [`Engine::swap_scheduler`] restores correctly).
+    /// Rebuild an engine from a snapshot by replaying its input log.
+    /// `base` must be the configuration of the run that produced the
+    /// snapshot (its `scheduler` field is overridden by the snapshot's
+    /// starting scheduler; swaps are replayed as inputs).
     ///
     /// The restored engine continues byte-identically to the
-    /// uninterrupted run. Checkpointing stays enabled (the op-log is
-    /// carried over), so a snapshot of a restored run works too. The
-    /// tracer starts off.
+    /// uninterrupted run. Checkpointing stays enabled, so a snapshot of
+    /// a restored run works too. The tracer starts off, and the
+    /// scheduler's audit constraints hold every edge of the replayed
+    /// prefix, whatever was drained before the snapshot.
     ///
     /// # Panics
-    /// Panics if [`Snapshot::check_restore`] rejects the snapshot under
-    /// `base`.
+    /// Panics if [`Engine::restore_with_profiler`] would return an error.
     pub fn restore(base: &SimConfig, snap: &Snapshot) -> Engine {
-        snap.check_restore(base)
-            .expect("snapshot cannot be restored");
+        Engine::replay(base, snap)
+            .unwrap_or_else(|err| panic!("snapshot cannot be restored: {err}"))
+    }
+
+    fn replay(base: &SimConfig, snap: &Snapshot) -> Result<Engine, String> {
         let mut cfg = base.clone();
         cfg.scheduler = snap.scheduler;
+        if cfg.cache_key() != snap.cache_key {
+            return Err("snapshot was taken under a different configuration".into());
+        }
         let mut e = Engine::new(&cfg);
-        e.events = EventQueue::from_snapshot(
-            snap.now,
-            snap.events_popped,
-            snap.events
-                .iter()
-                .map(|&(at, event)| Scheduled { at, event })
-                .collect(),
-        );
-        e.cn = FcfsServer::from_state(
-            snap.cn_free_at,
-            snap.cn_busy,
-            snap.cn_total_demand,
-            snap.cn_jobs,
-        );
-        e.dpns = snap
-            .dpns
-            .iter()
-            .map(|d| Dpn::from_state(d.ready.clone(), d.running, d.busy, d.busy_time, d.completed))
-            .collect();
-        // The scheduler is a deterministic, RNG-free state machine:
-        // replaying its recorded call history against a fresh instance
-        // reproduces its exact state. Outputs are discarded.
-        let mut sched = cfg.scheduler.build(&cfg.costs);
-        let mut scratch: Vec<FileId> = Vec::new();
-        for op in &snap.oplog {
-            match op {
-                SchedOp::Register { id, spec } => sched.register(*id, spec.clone()),
-                SchedOp::TryStart { id } => {
-                    let _ = sched.try_start(*id);
+        e.enable_checkpointing();
+        for input in &snap.inputs {
+            e.replay_to(input.at)?;
+            match &input.call {
+                Call::Submit(spec) => {
+                    validate_spec(spec, e.genr.num_files())?;
+                    e.submit(spec.clone());
                 }
-                SchedOp::Request { id, step } => {
-                    let _ = sched.request(*id, *step);
+                Call::Swap(kind) => {
+                    e.swap_scheduler(*kind);
                 }
-                SchedOp::StepComplete { id, step } => sched.step_complete(*id, *step),
-                SchedOp::Validate { id } => {
-                    let _ = sched.validate(*id);
+                Call::Metrics(Some(dt)) if dt.is_zero() => {
+                    return Err("metrics interval must be positive".into());
                 }
-                SchedOp::Commit { id } => {
-                    scratch.clear();
-                    sched.commit_into(*id, &mut scratch);
-                }
-                SchedOp::Abort { id } => {
-                    scratch.clear();
-                    sched.abort_into(*id, &mut scratch);
-                }
-                SchedOp::Forget { id } => {
-                    scratch.clear();
-                    sched.forget(*id, &mut scratch);
-                }
-                SchedOp::Drain => {
-                    let _ = sched.drain_constraints();
+                Call::Metrics(Some(dt)) => e.set_metrics_interval(*dt),
+                Call::Metrics(None) => {
+                    e.take_metrics();
                 }
             }
         }
-        e.scheduler = sched;
-        e.arrivals =
-            PoissonArrivals::from_state(cfg.lambda_tps, snap.arrivals_rng, snap.arrivals_next);
-        // `check_restore` loaded this cursor into a fresh generator, so
-        // the load cannot fail.
-        e.genr.load_cursor(&snap.gen_cursor);
-        e.txns = Arena::new();
-        // Insertion order differs from the original run's, which is
-        // safe: the arena is never iterated order-sensitively (only the
-        // checkpoint layer enumerates it, and it sorts).
-        for (id, txn) in &snap.txns {
-            e.txns.insert(*id, txn.clone());
-        }
-        e.start_queue = snap.start_queue.iter().map(|&id| TxnId(id)).collect();
-        e.pending = snap.pending.clone();
-        e.next_txn = snap.next_txn;
-        e.next_seq = snap.next_seq;
-        e.next_cohort = snap.next_cohort;
-        e.cohort_owner = IdMap::new();
-        for &(k, v) in &snap.cohort_owner {
-            e.cohort_owner.insert(k, v);
-        }
-        e.live = snap.live;
-        e.rt = snap.rt;
-        e.arrived = snap.arrived;
-        e.started = snap.started;
-        e.completed = snap.completed;
-        e.restarts = snap.restarts;
-        e.lock_requests = snap.lock_requests;
-        e.requests_denied = snap.requests_denied;
-        e.retry_tick_armed = snap.retry_tick_armed;
-        e.label = snap.label.clone();
-        e.fault_rng = bds_des::rng::Xoshiro256::from_state(snap.fault_rng);
-        e.node_up = snap.node_up.clone();
-        e.dpn_epoch = snap.dpn_epoch.clone();
-        e.down_since = snap.down_since.clone();
-        e.downtime = snap.downtime.clone();
-        e.held_cohorts = snap.held_cohorts.clone();
-        e.aborts_validation = snap.aborts_validation;
-        e.aborts_scheduler = snap.aborts_scheduler;
-        e.aborts_fault = snap.aborts_fault;
-        e.killed = snap.killed;
-        let hist = |s: &HistState| {
-            LogHistogram::from_state(
-                s.counts.clone(),
-                s.total,
-                s.sum_ticks,
-                s.min_ticks,
-                s.max_ticks,
-            )
-        };
-        e.retry_hist = hist(&snap.retry_hist);
-        e.rt_log = hist(&snap.rt_log);
-        match &snap.metrics {
-            Some(m) => {
-                e.metrics = Sampler::resume(
-                    m.next_ms,
-                    TimeSeries::from_parts(
-                        m.dt_ms,
-                        m.names.clone(),
-                        m.times_ms.clone(),
-                        m.values.clone(),
-                    ),
-                );
-                e.metrics_prev = m.prev.clone();
-            }
-            None => {
-                e.metrics = Sampler::Off;
-                e.metrics_prev = PrevSample::default();
+        e.replay_to(snap.end)?;
+        for (what, got, want) in [
+            ("clock (ms)", e.now().0, snap.now.0),
+            ("arrivals", e.arrived, snap.arrived),
+            ("commits", e.completed, snap.completed),
+        ] {
+            if got != want {
+                return Err(format!(
+                    "replay diverged: {what} {got}, snapshot says {want}"
+                ));
             }
         }
-        e.oplog = Some(snap.oplog.clone());
-        e
+        if e.genr.save_cursor() != snap.gen_cursor {
+            return Err(
+                "replay diverged: workload-generator cursor differs from the snapshot's".into(),
+            );
+        }
+        Ok(e)
     }
+
+    /// Drive a replay to `mark`: process events up to its count, then
+    /// sample the metrics grid up to its position, as a `run_until` past
+    /// the last event did in the recorded run.
+    fn replay_to(&mut self, mark: Mark) -> Result<(), String> {
+        while self.events_processed() < mark.events {
+            if self.step().is_none() {
+                return Err(format!(
+                    "replay diverged: the run ends after {} events, the log expects {}",
+                    self.events_processed(),
+                    mark.events
+                ));
+            }
+        }
+        if self.events_processed() != mark.events {
+            return Err(format!(
+                "replay diverged: {} events processed, the log expects {}",
+                self.events_processed(),
+                mark.events
+            ));
+        }
+        let have = self.mark().next_sample_ms;
+        if let (Some(have), Some(want), Sampler::On(s)) = (have, mark.next_sample_ms, &self.metrics)
+        {
+            if want > have {
+                // The last grid point a `run_until` filled must lie
+                // before the next event and within the horizon.
+                let last = SimTime(want - s.series.dt_ms());
+                if last > self.horizon() || self.events.peek_time().is_some_and(|t| t <= last) {
+                    return Err(format!(
+                        "replay diverged: sample grid position {want} ms lies past the next event"
+                    ));
+                }
+                self.sample_metrics(last);
+            }
+        }
+        let got = self.mark().next_sample_ms;
+        if got != mark.next_sample_ms {
+            return Err(format!(
+                "replay diverged: sampler at {got:?} ms, the log expects {:?}",
+                mark.next_sample_ms
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Largest cost or declared demand of one step, in objects: about 32
+/// simulated years of scan at the paper's `ObjTime`, far from the point
+/// where millisecond arithmetic overflows.
+const MAX_STEP_OBJECTS: f64 = 1e9;
+
+/// Check that the engine can run `spec` on a workload of `num_files`
+/// files: at least one step, every file in `0..num_files`, every cost
+/// in `(0, 1e9]` objects, every declared demand in `[0, 1e9]`, and
+/// every write step exclusively locked. [`Engine::submit`] and
+/// [`Engine::restore`] apply it to each external transaction.
+///
+/// # Errors
+/// Names the first offending step.
+pub fn validate_spec(spec: &BatchSpec, num_files: u32) -> Result<(), String> {
+    if spec.steps.is_empty() {
+        return Err("a transaction needs at least one step".into());
+    }
+    for (i, s) in spec.steps.iter().enumerate() {
+        if s.file.0 >= num_files {
+            return Err(format!(
+                "step {i}: file must be an integer in 0..{num_files}, got {}",
+                s.file.0
+            ));
+        }
+        if !(s.cost > 0.0 && s.cost <= MAX_STEP_OBJECTS) {
+            return Err(format!("step {i}: bad cost {}", s.cost));
+        }
+        if !(s.declared >= 0.0 && s.declared <= MAX_STEP_OBJECTS) {
+            return Err(format!("step {i}: bad declared {}", s.declared));
+        }
+        if s.access == Access::Write && s.mode != LockMode::Exclusive {
+            return Err(format!("step {i}: a write step needs an exclusive lock"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -2119,8 +2054,8 @@ mod tests {
     #[test]
     fn step_records_changes_no_state() {
         // A tap without a ring must not drain the scheduler's constraint
-        // log: the op-log, the snapshot and the edges the
-        // serializability audit drains all match plain stepping.
+        // log: the snapshot and the edges the serializability audit
+        // drains both match plain stepping.
         let c = cfg(SchedulerKind::Gow).with_lambda(0.6);
         let mut plain = Engine::new(&c);
         let mut recorded = Engine::new(&c);
@@ -2136,6 +2071,34 @@ mod tests {
         let edges = plain.drain_constraints();
         assert!(!edges.is_empty(), "GOW orders conflicting transactions");
         assert_eq!(edges, recorded.drain_constraints());
+    }
+
+    #[test]
+    fn validate_spec_names_the_bad_step() {
+        use bds_workload::Step;
+        // Built field by field: `BatchSpec::new` asserts some of these.
+        let spec = |steps| BatchSpec { steps };
+        let ok = Step::read(FileId(15), LockMode::Shared, 1.0);
+        assert_eq!(validate_spec(&spec(vec![ok]), 16), Ok(()));
+        let mut shared_write = Step::write(FileId(2), 1.0);
+        shared_write.mode = LockMode::Shared;
+        let bad = [
+            (Step::read(FileId(16), LockMode::Shared, 1.0), "file"),
+            (Step::write(FileId(1), 0.0), "cost"),
+            (Step::write(FileId(1), f64::NAN), "cost"),
+            (Step::write(FileId(1), 1e10), "cost"),
+            (Step::write(FileId(1), 1.0).with_declared(1e10), "declared"),
+            (shared_write, "exclusive"),
+        ];
+        for (step, needle) in bad {
+            let err =
+                validate_spec(&spec(vec![ok, step]), 16).expect_err("bad step must be refused");
+            assert!(err.starts_with("step 1:") && err.contains(needle), "{err}");
+        }
+        let mut negative = Step::write(FileId(1), 1.0);
+        negative.declared = -0.5;
+        assert!(validate_spec(&spec(vec![negative]), 16).is_err());
+        assert!(validate_spec(&spec(Vec::new()), 16).is_err());
     }
 
     #[test]

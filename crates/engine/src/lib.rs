@@ -10,12 +10,13 @@
 //!   [`engine::Engine::run_to_horizon`] drive the same loop in bulk,
 //!   and [`engine::Engine::run`] wraps build, run and report in one
 //!   call. Exactly one event loop exists in the workspace.
-//! * **Checkpoint/restore** — [`engine::Engine::snapshot`] captures the
-//!   complete simulation state (timing wheel, transaction arena, RNG
-//!   streams, scheduler op-log, metrics cursors) into a [`Snapshot`]
+//! * **Checkpoint/restore** — the run is deterministic, so
+//!   [`engine::Engine::snapshot`] captures its *inputs*: the
+//!   configuration's cache key plus every external call that changes
+//!   state (submit, scheduler swap, sampler on/off), in a [`Snapshot`]
 //!   that round-trips through the workspace's hand-rolled JSON layer;
-//!   [`engine::Engine::restore`] rebuilds an engine whose continuation
-//!   is byte-identical to the uninterrupted run.
+//!   [`engine::Engine::restore`] replays them against a fresh engine,
+//!   whose continuation is byte-identical to the uninterrupted run.
 //! * **Service front** — the `bds-serve` binary speaks NDJSON over
 //!   stdin/stdout (or a TCP socket) and exposes submit / step /
 //!   run-until / snapshot / restore / scheduler hot-swap / metrics
@@ -35,6 +36,6 @@ pub mod metrics;
 pub mod snapshot;
 
 pub use config::{SimConfig, WorkloadKind};
-pub use engine::{AbortCause, Engine};
+pub use engine::{validate_spec, AbortCause, Engine};
 pub use metrics::SimReport;
 pub use snapshot::Snapshot;

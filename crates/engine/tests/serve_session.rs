@@ -306,6 +306,12 @@ fn configure_refuses_bad_input_and_stays_up() {
         (r#"{"cmd":"submit","steps":[["r",2.7,100.0]]}"#, "file"),
         (r#"{"cmd":"submit","steps":[["r",16,100.0]]}"#, "file"),
         (r#"{"cmd":"submit","steps":[["r",1e12,100.0]]}"#, "file"),
+        (r#"{"cmd":"submit","steps":[["r",2,0]]}"#, "cost"),
+        (
+            r#"{"cmd":"submit","steps":[["w",2,1.0,1e999]]}"#,
+            "declared",
+        ),
+        (r#"{"cmd":"submit","steps":[]}"#, "step"),
     ];
     for (req, needle) in cases {
         let msg = s.send_err(req);
@@ -354,6 +360,45 @@ fn restore_refuses_a_mismatched_generator_cursor_and_stays_up() {
     );
     let status = s.send(r#"{"cmd":"status"}"#);
     check_conserved(&status);
+    s.quit();
+    let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn restore_refuses_a_diverging_replay_and_stays_up() {
+    // A snapshot is an input log replayed on restore. Edited check
+    // values or an input the engine would refuse are `ok:false`, and
+    // the running session stays as it was.
+    let dir = std::env::temp_dir();
+    let ckpt = dir.join(format!("bds-serve-diverge-{}.json", std::process::id()));
+    let ckpt_str = ckpt.to_str().expect("utf-8 temp path");
+    let mut s = Serve::spawn();
+    s.send(r#"{"cmd":"configure","scheduler":"low","horizon_s":60,"seed":1}"#);
+    s.send(r#"{"cmd":"run-until","t_ms":10000}"#);
+    s.send(r#"{"cmd":"submit","steps":[["r",3,1.5],["w",7,0.5]]}"#);
+    s.send(r#"{"cmd":"run-until","t_ms":30000}"#);
+    s.send(&format!(r#"{{"cmd":"snapshot","path":"{ckpt_str}"}}"#));
+    let text = std::fs::read_to_string(&ckpt).expect("read snapshot");
+    let before = s.send(r#"{"cmd":"status"}"#);
+
+    // The top-level event count follows the input list.
+    let at = text
+        .rfind(r#""events":""#)
+        .expect("snapshot has an event count")
+        + 10;
+    let digits = text[at..].find('"').expect("event count closes");
+    let events: u64 = text[at..at + digits].parse().expect("event count");
+    let more_events = format!("{}{}{}", &text[..at], events + 1, &text[at + digits..]);
+    let far_file = text.replacen(r#""f":"7""#, r#""f":"99""#, 1);
+    assert_ne!(far_file, text, "the submitted step names file 7");
+    for (edited, needle) in [(more_events, "diverged"), (far_file, "file")] {
+        std::fs::write(&ckpt, edited).expect("write edited snapshot");
+        let msg = s.send_err(&format!(r#"{{"cmd":"restore","path":"{ckpt_str}"}}"#));
+        assert!(msg.contains(needle), "error {msg:?} lacks {needle:?}");
+        let status = s.send(r#"{"cmd":"status"}"#);
+        check_conserved(&status);
+        assert_eq!(num(&status, "events"), num(&before, "events"));
+    }
     s.quit();
     let _ = std::fs::remove_file(&ckpt);
 }

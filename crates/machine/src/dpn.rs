@@ -171,49 +171,6 @@ impl Dpn {
         }
     }
 
-    /// The full node state, for checkpointing: ready cohorts in queue
-    /// order, the running slice as `(cohort, slice_end, slice_len)`, the
-    /// busy signal, cumulative busy time, and the completion counter.
-    #[allow(clippy::type_complexity)]
-    pub fn state(
-        &self,
-    ) -> (
-        Vec<Cohort>,
-        Option<(Cohort, SimTime, Duration)>,
-        TimeWeighted,
-        Duration,
-        u64,
-    ) {
-        (
-            self.ready.iter().copied().collect(),
-            self.running.map(|r| (r.cohort, r.slice_end, r.slice_len)),
-            self.busy,
-            self.busy_time,
-            self.completed,
-        )
-    }
-
-    /// Rebuild a node from a state captured by [`Dpn::state`].
-    pub fn from_state(
-        ready: Vec<Cohort>,
-        running: Option<(Cohort, SimTime, Duration)>,
-        busy: TimeWeighted,
-        busy_time: Duration,
-        completed: u64,
-    ) -> Self {
-        Dpn {
-            ready: ready.into(),
-            running: running.map(|(cohort, slice_end, slice_len)| Running {
-                cohort,
-                slice_end,
-                slice_len,
-            }),
-            busy,
-            busy_time,
-            completed,
-        }
-    }
-
     /// Crash the node at `now`: every resident cohort (running and
     /// ready) is lost and its id returned so the caller can abort the
     /// owning transactions. The running slice's elapsed portion is

@@ -140,45 +140,6 @@ impl LogHistogram {
         (self.total > 0).then(|| self.max_ticks as f64 / TICKS_PER_SEC)
     }
 
-    /// The full histogram state
-    /// `(counts, total, sum_ticks, min_ticks, max_ticks)`, for
-    /// checkpointing.
-    pub fn state(&self) -> (&[u64], u64, u128, u64, u64) {
-        (
-            &self.counts,
-            self.total,
-            self.sum_ticks,
-            self.min_ticks,
-            self.max_ticks,
-        )
-    }
-
-    /// Rebuild a histogram from a state captured by
-    /// [`LogHistogram::state`].
-    ///
-    /// # Panics
-    /// Panics if the bucket counts do not sum to `total`.
-    pub fn from_state(
-        counts: Vec<u64>,
-        total: u64,
-        sum_ticks: u128,
-        min_ticks: u64,
-        max_ticks: u64,
-    ) -> Self {
-        assert_eq!(
-            counts.iter().sum::<u64>(),
-            total,
-            "LogHistogram: bucket counts disagree with total"
-        );
-        LogHistogram {
-            counts,
-            total,
-            sum_ticks,
-            min_ticks,
-            max_ticks,
-        }
-    }
-
     /// Merge another histogram into this one. Exact: the result equals a
     /// histogram of both input streams concatenated.
     pub fn merge(&mut self, other: &LogHistogram) {

@@ -85,38 +85,6 @@ impl TimeSeries {
         &self.times_ms
     }
 
-    /// Row-major sample values (`len() × width()`), for checkpointing.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Rebuild a series from its parts (inverse of the accessors), for
-    /// checkpoint restore.
-    ///
-    /// # Panics
-    /// Panics if the shapes disagree or the timestamps are not strictly
-    /// increasing.
-    pub fn from_parts(
-        dt_ms: u64,
-        names: Vec<String>,
-        times_ms: Vec<u64>,
-        values: Vec<f64>,
-    ) -> Self {
-        assert!(dt_ms > 0, "sampling interval must be positive");
-        assert!(!names.is_empty(), "a series needs at least one column");
-        assert_eq!(values.len(), times_ms.len() * names.len(), "shape mismatch");
-        assert!(
-            times_ms.windows(2).all(|w| w[0] < w[1]),
-            "samples must advance in time"
-        );
-        TimeSeries {
-            dt_ms,
-            names,
-            times_ms,
-            values,
-        }
-    }
-
     /// One column by name, as a fresh vector (`None` if unknown).
     pub fn column(&self, name: &str) -> Option<Vec<f64>> {
         let col = self.names.iter().position(|n| n == name)?;
@@ -224,28 +192,6 @@ impl Sampler {
             next_ms: dt_ms,
             series: TimeSeries::new(dt_ms, names),
             row: Vec::with_capacity(names.len()),
-        }))
-    }
-
-    /// Resume sampling mid-run from a checkpoint: the accumulated series
-    /// plus the next grid point to sample.
-    ///
-    /// # Panics
-    /// Panics if `next_ms` is not aligned to the series grid or does not
-    /// lie after the last recorded row.
-    pub fn resume(next_ms: u64, series: TimeSeries) -> Self {
-        assert!(
-            next_ms.is_multiple_of(series.dt_ms()),
-            "next_ms off the grid"
-        );
-        if let Some(&last) = series.times_ms().last() {
-            assert!(next_ms > last, "next_ms must follow the last sample");
-        }
-        let width = series.width();
-        Sampler::On(Box::new(ActiveSampler {
-            next_ms,
-            series,
-            row: Vec::with_capacity(width),
         }))
     }
 

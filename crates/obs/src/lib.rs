@@ -53,9 +53,9 @@ pub enum Phase {
     CnWork,
     /// Event-queue peek/sample/pop in the pump.
     EventQueue,
-    /// Full-state snapshot serialization.
+    /// Snapshot capture (copying out the input log).
     Snapshot,
-    /// Snapshot restore (including oplog replay).
+    /// Snapshot restore (replaying the input log).
     Restore,
 }
 

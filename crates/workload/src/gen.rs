@@ -39,9 +39,10 @@ pub trait WorkloadGen: Send {
     /// (used to compute the machine's saturation throughput).
     fn mean_demand(&self) -> f64;
     /// Capture the generator's resumable position, if it supports
-    /// checkpointing. The default declines (`None`), which makes
-    /// engine snapshots fail loudly rather than silently fork the
-    /// stream.
+    /// checkpointing. An engine snapshot records it as a check value: a
+    /// restore replays the run and refuses the snapshot unless the
+    /// replayed generator reports the same cursor. The default declines
+    /// (`None`), so a restore never matches a generator without one.
     fn save_cursor(&self) -> Option<GenCursor> {
         None
     }
