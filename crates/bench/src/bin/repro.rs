@@ -47,8 +47,8 @@
 //! Peak RSS is `VmHWM`, reset before the run via `/proc/self/clear_refs`.
 //! The process exits nonzero when any budget is exceeded, so CI can
 //! gate on it directly. Memory stays
-//! O(DPNs + live transactions) — the streaming statistics and arena'd
-//! lifecycle state never hold per-transaction samples — which is what
+//! O(DPNs + live transactions) — the streaming statistics and hashed
+//! lifecycle tables never hold per-transaction samples — which is what
 //! the RSS budget pins.
 //!
 //! `--faults PLAN` switches to chaos mode: instead of the paper
@@ -201,7 +201,7 @@ const SCALE_WALL_BUDGET_SECS: f64 = 120.0;
 
 /// Peak-RSS budget for the `--scale` smoke run. Steady state is
 /// ~13 MiB; O(transactions) memory (full response-time samples, leaked
-/// arena slots, an unbounded event list) hits hundreds of MiB.
+/// transaction entries, an unbounded event list) hits hundreds of MiB.
 const SCALE_RSS_BUDGET_MIB: f64 = 256.0;
 
 /// Peak resident set size of this process in MiB (`VmHWM` from

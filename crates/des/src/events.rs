@@ -1,4 +1,4 @@
-//! Deterministic future-event list backed by a hierarchical timing wheel.
+//! Deterministic future-event list backed by a binary heap.
 //!
 //! [`EventQueue`] is a priority queue keyed by ([`SimTime`], insertion
 //! sequence number). Two events scheduled for the same instant pop in the
@@ -6,43 +6,17 @@
 //! reproducible — a property the paper's sensitivity experiments rely on
 //! (identical arrival streams across schedulers).
 //!
-//! # Layout
-//!
-//! The queue stores pending events in a four-level timing wheel of 256
-//! slots per level. Level `L` covers bits `[8·L, 8·L+8)` of the absolute
-//! firing time in milliseconds, so the wheel spans the next `2³²` ms
-//! (≈ 49.7 simulated days) relative to the clock; events beyond that go
-//! to an overflow calendar, a `BTreeMap` of buckets keyed by
-//! `at >> 32`. An event whose firing time agrees with the clock on all
-//! bits above `8·(L+1)` but differs somewhere in byte `L` lives at level
-//! `L`, in slot `(at >> 8·L) & 255`. Push and pop are O(1) amortized;
-//! each event cascades down at most `LEVELS` times over its lifetime.
-//!
-//! # Cascading and same-instant FIFO order
-//!
-//! The wheel maintains one invariant: *every pending event sits at the
-//! level determined by the current clock*. [`EventQueue::pop`] first
-//! advances the clock to the earliest pending time `t`, then — top-down —
-//! drains the overflow bucket and the one slot per level whose window the
-//! clock just entered, re-placing the drained events at their new
-//! (strictly lower) levels. Because the clock never passes the minimum
-//! pending time, a slot being cascaded is entered exactly once per wheel
-//! wrap, *before* any event can be pushed directly into a lower level of
-//! that window (a direct push to level `L` requires the clock to already
-//! share the window, which begins at the crossing). Slots are appended in
-//! push order and drained front-to-back, so every slot's entries are in
-//! strictly increasing sequence order at all times — and the level-0 slot
-//! for an instant therefore pops in exact insertion order, matching the
-//! binary-heap reference model entry for entry (see
-//! `tests/prop_event_queue.rs` for the differential check).
-//!
-//! Occupancy bitmaps (256 bits per level) plus a per-slot minimum make
-//! finding the next firing time O(levels) without scanning slot contents,
-//! even under `schedule_now` chains with a large far-future slot pending.
+//! The pending set is small — at most 1 661 events at the Fig. 8 hot
+//! point (WDL; 263 for every other scheduler) and about 100 on the
+//! 100-DPN scale runs (DESIGN §15) — so a `std` [`BinaryHeap`] ordered
+//! on `(at, seq)` is all the structure it needs: O(log n) push and pop,
+//! no allocation beyond the heap's own vector. The sequence number
+//! makes every key unique, so the pop order is a pure function of the
+//! push order.
 
 use crate::time::{Duration, SimTime};
-use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// A scheduled event: the payload plus its firing time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,32 +27,34 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-/// Bits of firing time resolved per wheel level.
-const BITS: u32 = 8;
-/// Slots per level.
-const SLOTS: usize = 1 << BITS;
-/// Slot-index mask.
-const MASK: u64 = (SLOTS - 1) as u64;
-/// Number of wheel levels.
-const LEVELS: usize = 4;
-/// Total bits covered by the wheel; times further ahead overflow.
-const WHEEL_BITS: u32 = BITS * LEVELS as u32;
-/// `u64` words per occupancy bitmap.
-const OCC_WORDS: usize = SLOTS / 64;
-
+/// A heap entry. Its order is reversed on `(at, seq)`, so the max-heap
+/// pops the earliest firing time, first-pushed first.
 #[derive(Debug)]
 struct Entry<E> {
     at: u64,
+    seq: u64,
     event: E,
 }
 
-/// An overflow bucket: the minimum firing time it holds plus its entries
-/// in insertion order.
-#[derive(Debug)]
-struct Bucket<E> {
-    min: u64,
-    entries: Vec<Entry<E>>,
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
 }
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<E> Eq for Entry<E> {}
 
 /// A future-event list with a monotone clock.
 ///
@@ -87,19 +63,9 @@ struct Bucket<E> {
 /// the past is a logic error and panics.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// `LEVELS × SLOTS` wheel slots, flattened (`level * SLOTS + slot`).
-    /// Entries within a slot are in insertion order.
-    slots: Vec<VecDeque<Entry<E>>>,
-    /// One 256-bit occupancy bitmap per level.
-    occ: [[u64; OCC_WORDS]; LEVELS],
-    /// Minimum firing time per slot (`u64::MAX` when empty); lets the
-    /// next-event search avoid scanning slot contents.
-    slot_min: Vec<u64>,
-    /// Far-future calendar, keyed by `at >> WHEEL_BITS`.
-    overflow: BTreeMap<u64, Bucket<E>>,
-    /// Cached earliest pending firing time; `None` means "recompute".
-    next_cache: Cell<Option<u64>>,
-    pending: usize,
+    heap: BinaryHeap<Entry<E>>,
+    /// Sequence number of the next push.
+    seq: u64,
     now: SimTime,
     popped: u64,
 }
@@ -114,12 +80,8 @@ impl<E> EventQueue<E> {
     /// An empty queue with the clock at zero.
     pub fn new() -> Self {
         EventQueue {
-            slots: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
-            occ: [[0; OCC_WORDS]; LEVELS],
-            slot_min: vec![u64::MAX; LEVELS * SLOTS],
-            overflow: BTreeMap::new(),
-            next_cache: Cell::new(None),
-            pending: 0,
+            heap: BinaryHeap::new(),
+            seq: 0,
             now: SimTime::ZERO,
             popped: 0,
         }
@@ -133,12 +95,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.pending
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events popped so far (a cheap progress metric).
@@ -157,13 +119,12 @@ impl<E> EventQueue<E> {
             at,
             self.now
         );
-        self.pending += 1;
-        if let Some(next) = self.next_cache.get() {
-            if at.0 < next {
-                self.next_cache.set(Some(at.0));
-            }
-        }
-        self.place(Entry { at: at.0, event });
+        self.heap.push(Entry {
+            at: at.0,
+            seq: self.seq,
+            event,
+        });
+        self.seq += 1;
     }
 
     /// Schedule `event` after a delay from the current clock.
@@ -179,122 +140,20 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event and advance the clock to its firing time.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        let t = self.next_time()?;
-        let old = self.now.0;
-        debug_assert!(t >= old, "event queue time went backwards");
-        self.now = SimTime(t);
-        let diff = old ^ t;
-        if diff >> WHEEL_BITS != 0 {
-            // Entered a new wheel wrap: all wheel levels are empty (any
-            // resident entry would predate `t`, the minimum pending
-            // time), so redistributing this wrap's calendar bucket
-            // repopulates the wheel from scratch.
-            if let Some(bucket) = self.overflow.remove(&(t >> WHEEL_BITS)) {
-                for e in bucket.entries {
-                    self.place(e);
-                }
-            }
-        }
-        for level in (1..LEVELS).rev() {
-            let shift = BITS * level as u32;
-            if diff >> shift != 0 {
-                // The clock entered a new level-`level` window; cascade
-                // the one slot of that window down. Earlier slots of this
-                // level cannot be occupied (their times would be < t).
-                let slot = ((t >> shift) & MASK) as usize;
-                let idx = level * SLOTS + slot;
-                if !self.slots[idx].is_empty() {
-                    let drained = std::mem::take(&mut self.slots[idx]);
-                    self.occ[level][slot >> 6] &= !(1u64 << (slot & 63));
-                    self.slot_min[idx] = u64::MAX;
-                    for e in drained {
-                        self.place(e);
-                    }
-                }
-            }
-        }
-        let slot = (t & MASK) as usize;
-        let entry = self.slots[slot]
-            .pop_front()
-            .expect("timing wheel invariant: level-0 slot empty at pop time");
-        debug_assert_eq!(entry.at, t, "timing wheel invariant: slot holds wrong time");
-        if self.slots[slot].is_empty() {
-            self.occ[0][slot >> 6] &= !(1u64 << (slot & 63));
-            self.slot_min[slot] = u64::MAX;
-            self.next_cache.set(None);
-        }
-        self.pending -= 1;
+        let Entry { at, event, .. } = self.heap.pop()?;
+        debug_assert!(at >= self.now.0, "event queue time went backwards");
+        self.now = SimTime(at);
         self.popped += 1;
         Some(Scheduled {
-            at: SimTime(t),
-            event: entry.event,
+            at: self.now,
+            event,
         })
     }
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.next_time().map(SimTime)
+        self.heap.peek().map(|e| SimTime(e.at))
     }
-
-    /// Earliest pending firing time, via the cache when warm.
-    fn next_time(&self) -> Option<u64> {
-        if self.pending == 0 {
-            return None;
-        }
-        if let Some(t) = self.next_cache.get() {
-            return Some(t);
-        }
-        let mut best = u64::MAX;
-        for level in 0..LEVELS {
-            // The first occupied slot of a level is its earliest window
-            // (slots below the clock's own window are always empty), and
-            // `slot_min` gives the earliest time inside it.
-            if let Some(slot) = first_set(&self.occ[level]) {
-                best = best.min(self.slot_min[level * SLOTS + slot]);
-            }
-        }
-        if let Some(bucket) = self.overflow.values().next() {
-            best = best.min(bucket.min);
-        }
-        debug_assert_ne!(best, u64::MAX, "pending > 0 but no entry found");
-        self.next_cache.set(Some(best));
-        Some(best)
-    }
-
-    /// Insert an entry at the level determined by the current clock.
-    fn place(&mut self, e: Entry<E>) {
-        let diff = e.at ^ self.now.0;
-        if diff >> WHEEL_BITS != 0 {
-            let bucket = self
-                .overflow
-                .entry(e.at >> WHEEL_BITS)
-                .or_insert_with(|| Bucket {
-                    min: u64::MAX,
-                    entries: Vec::new(),
-                });
-            bucket.min = bucket.min.min(e.at);
-            bucket.entries.push(e);
-            return;
-        }
-        let mut level = 0;
-        while diff >> (BITS * (level as u32 + 1)) != 0 {
-            level += 1;
-        }
-        let slot = ((e.at >> (BITS * level as u32)) & MASK) as usize;
-        let idx = level * SLOTS + slot;
-        self.occ[level][slot >> 6] |= 1u64 << (slot & 63);
-        self.slot_min[idx] = self.slot_min[idx].min(e.at);
-        self.slots[idx].push_back(e);
-    }
-}
-
-/// Index of the first set bit in a 256-bit bitmap.
-fn first_set(words: &[u64; OCC_WORDS]) -> Option<usize> {
-    words
-        .iter()
-        .enumerate()
-        .find(|(_, &w)| w != 0)
-        .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
 }
 
 #[cfg(test)]
@@ -380,8 +239,8 @@ mod tests {
 
     #[test]
     fn events_cascade_across_level_boundaries() {
-        // Times straddling every level boundary of the wheel, plus an
-        // overflow bucket beyond 2^32 ms.
+        // Times straddling byte boundaries of the millisecond clock, up
+        // to and past 2^32 ms, pushed in reverse order.
         let times: [u64; 8] = [1, 255, 256, 65_535, 65_536, 1 << 24, (1 << 32) - 1, 1 << 32];
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate().rev() {
@@ -397,10 +256,10 @@ mod tests {
 
     #[test]
     fn fifo_survives_cascade_then_direct_push() {
-        // "a" is pushed while t=1000 is still far away (lands in an upper
-        // level and cascades down); "b" is pushed for the same instant
-        // after the clock has entered its window. Insertion order must
-        // survive both routes into the level-0 slot.
+        // "a" is pushed while t=1000 is still far away; "b" is pushed
+        // for the same instant after the clock has moved up to 999.
+        // Insertion order decides between them, not the clock at push
+        // time.
         let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_millis(1000), "a");
         q.schedule_at(SimTime::from_millis(999), "tick");

@@ -7,9 +7,8 @@
 //! * [`SimTime`] / [`Duration`] — a millisecond-resolution simulated clock
 //!   (the paper uses `1 clock = 1 ms`).
 //! * [`EventQueue`] — a deterministic future-event list with stable FIFO
-//!   ordering of simultaneous events, backed by a hierarchical timing
-//!   wheel (O(1) amortized push/pop) with a calendar overflow for
-//!   far-future events.
+//!   ordering of simultaneous events, backed by a `std` binary heap on
+//!   (firing time, insertion sequence).
 //! * [`rng::Xoshiro256`] — a small, fast, fully deterministic PRNG so that
 //!   simulation results are reproducible across platforms and do not depend
 //!   on third-party RNG version churn.

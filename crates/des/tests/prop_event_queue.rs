@@ -1,12 +1,13 @@
-//! Differential property tests for the timing-wheel [`EventQueue`]: the
-//! wheel is run against a reference binary-heap model (ordered by
+//! Differential property tests for [`EventQueue`] (`wheel` below): the
+//! queue is run against a reference binary-heap model (ordered by
 //! `(SimTime, insertion sequence)` — the queue's documented contract) on
 //! randomized interleavings of pushes and pops, asserting identical pop
-//! order event by event. Schedules include bursts of same-instant
-//! events, `schedule_now` chains from inside the pop loop (the pattern
-//! event handlers produce), and far-future outliers that exercise the
-//! overflow calendar. Clock monotonicity is a *checked* invariant here,
-//! not a `debug_assert!`, so release builds of the suite still verify it.
+//! order event by event. This is the FIFO/clock contract check: it holds
+//! whatever structure backs the queue. Schedules include bursts of
+//! same-instant events, `schedule_now` chains from inside the pop loop
+//! (the pattern event handlers produce), and far-future outliers beyond
+//! 2³² ms. Clock monotonicity is a *checked* invariant here, not a
+//! `debug_assert!`, so release builds of the suite still verify it.
 
 use bds_des::rng::Xoshiro256;
 use bds_des::time::SimTime;
@@ -44,9 +45,8 @@ fn rng(case: u64) -> Xoshiro256 {
     Xoshiro256::seed_from_u64(0x77EE1 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// A delay drawn from a mixture that stresses every wheel level: zero
-/// (same instant), each power-of-256 window, and far-future outliers
-/// beyond the 2³² ms wheel span (the overflow calendar).
+/// A delay drawn from a wide mixture: zero (same instant), windows of
+/// 2⁸, 2¹⁶, 2²⁶ and 2³² ms, and far-future outliers beyond 2³² ms.
 fn mixed_delay(r: &mut Xoshiro256) -> u64 {
     match r.next_range(100) {
         0..=24 => 0,
@@ -58,7 +58,7 @@ fn mixed_delay(r: &mut Xoshiro256) -> u64 {
     }
 }
 
-/// Drive the wheel and the model through one identical operation
+/// Drive the queue and the model through one identical operation
 /// sequence, checking pop-for-pop agreement and clock monotonicity.
 fn run_case(case: u64, ops: usize) {
     let mut r = rng(case);
@@ -135,8 +135,8 @@ fn wheel_matches_heap_model_on_random_schedules() {
 
 #[test]
 fn wheel_matches_heap_model_on_long_runs() {
-    // Fewer cases, deeper interleavings: enough pops to wrap level-0
-    // many times and cross several level-1/2 windows in one run.
+    // Fewer cases, deeper interleavings: long runs with a large
+    // pending set mixing near and far firing times.
     for case in 1000..1008 {
         run_case(case, 40_000);
     }
@@ -144,10 +144,9 @@ fn wheel_matches_heap_model_on_long_runs() {
 
 #[test]
 fn wheel_survives_pathological_schedule_now_storm() {
-    // A large far-future slot stays pending while the near present is a
-    // dense schedule_now chain — the next-event search must not rescan
-    // the big slot per pop (this is a correctness test; the bench in
-    // crates/bench/benches/event_queue.rs covers the cost).
+    // 50 000 same-instant far-future events stay pending while the near
+    // present is a dense schedule_now chain; both must keep their
+    // insertion order.
     let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut model = HeapModel::default();
     let far = (1u64 << 31) + 12_345;

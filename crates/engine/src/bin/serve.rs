@@ -211,7 +211,11 @@ fn parse_workload(s: &str) -> Result<WorkloadKind, String> {
             .split_once(':')
             .ok_or_else(|| "exp3 wants exp3:FILES:SIGMA".to_string())?;
         let num_files = parse_file_count(n)?;
-        let sigma: f64 = sigma.parse().map_err(|_| format!("bad sigma {sigma:?}"))?;
+        let sigma: f64 = sigma
+            .parse()
+            .ok()
+            .filter(|s: &f64| s.is_finite() && *s >= 0.0)
+            .ok_or_else(|| format!("bad sigma {sigma:?} (finite, >= 0)"))?;
         return Ok(WorkloadKind::Exp3 { num_files, sigma });
     }
     Err(format!("unknown workload {s:?} (exp1:N | exp2 | exp3:N:S)"))
@@ -735,6 +739,7 @@ impl Session {
         let e = self.engine()?;
         let mut o = ok();
         match (capacity, dump) {
+            (Some(0), None) => return Err("trace capacity must be positive".into()),
             (Some(cap), None) => {
                 e.set_tracer(Tracer::ring(cap as usize));
                 o.int("capacity", cap);

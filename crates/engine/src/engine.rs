@@ -48,7 +48,6 @@
 //! [`Engine::snapshot`] is that input log and [`Engine::restore`]
 //! replays it against a fresh engine (see [`crate::snapshot`]).
 
-use crate::arena::{Arena, IdMap};
 use crate::config::SimConfig;
 use crate::metrics::SimReport;
 use crate::snapshot::{Call, Input, Mark, Snapshot};
@@ -68,9 +67,35 @@ use bds_workload::gen::WorkloadGen;
 use bds_workload::spec::Access;
 use bds_workload::{BatchSpec, FileId, LockMode};
 use bds_wtpg::TxnId;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 pub use bds_trace::AbortCause;
+
+/// Hasher for the engine's id-keyed tables. Ids are sequence numbers
+/// the engine issues (never read from input), so one Fibonacci
+/// multiply (2⁶⁴/φ) spreads them; a fixed hash keeps each table a pure
+/// function of its operations, unlike `RandomState`.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdHash = BuildHasherDefault<IdHasher>;
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,10 +172,9 @@ pub struct Engine {
     scheduler: Box<dyn Scheduler>,
     arrivals: PoissonArrivals,
     genr: Box<dyn WorkloadGen>,
-    /// In-flight transactions in a slot arena (free-list reuse; see
-    /// [`crate::arena`]) — never iterated on the hot path, so the
-    /// unordered index is determinism-safe (the scheduler swap sorts).
-    txns: Arena<Txn>,
+    /// In-flight transactions. Never iterated on the hot path, so the
+    /// unordered table is determinism-safe (the scheduler swap sorts).
+    txns: HashMap<TxnId, Txn, IdHash>,
     start_queue: VecDeque<TxnId>,
     /// Blocked/delayed lock requests in ascending `seq` order (inserts
     /// always append — `next_seq` is monotone — and removals preserve
@@ -160,7 +184,7 @@ pub struct Engine {
     next_seq: u64,
     next_cohort: u64,
     /// Live cohort → owning transaction (unordered; lookups only).
-    cohort_owner: IdMap,
+    cohort_owner: HashMap<CohortId, TxnId, IdHash>,
     live: TimeWeighted,
     rt: Welford,
     arrived: u64,
@@ -172,10 +196,6 @@ pub struct Engine {
     retry_tick_armed: bool,
     label: String,
     // ----- fault-injection state (all inert when the plan is empty) ---
-    /// True when `cfg.faults` is non-empty; gates every fault-path
-    /// branch so an empty plan stays byte-identical to the pre-fault
-    /// simulator.
-    faults_on: bool,
     /// True when the plan models link delay/loss: cohort dispatch goes
     /// through `CohortArrive` events instead of immediate delivery.
     link_on: bool,
@@ -322,13 +342,13 @@ impl Engine {
             scheduler: cfg.scheduler.build(&cfg.costs),
             arrivals,
             genr,
-            txns: Arena::new(),
+            txns: HashMap::default(),
             start_queue: VecDeque::new(),
             pending: Vec::new(),
             next_txn: 1,
             next_seq: 1,
             next_cohort: 1,
-            cohort_owner: IdMap::new(),
+            cohort_owner: HashMap::default(),
             live: TimeWeighted::new(SimTime::ZERO, 0.0),
             rt: Welford::new(),
             arrived: 0,
@@ -339,7 +359,6 @@ impl Engine {
             requests_denied: 0,
             retry_tick_armed: false,
             label: cfg.scheduler.label(),
-            faults_on,
             link_on: faults_on && !cfg.faults.link.is_perfect(),
             fault_rng: bds_des::rng::Xoshiro256::seed_from_u64(cfg.faults.rng_seed(cfg.seed)),
             node_up: vec![true; num_nodes],
@@ -815,7 +834,7 @@ impl Engine {
     /// # Panics
     /// Panics if `id` is not in flight.
     fn txn(&self, id: TxnId) -> &Txn {
-        self.txns.get(id.0).expect("unknown txn")
+        self.txns.get(&id).expect("unknown txn")
     }
 
     /// Position of a pending request by its submission seq.
@@ -911,17 +930,16 @@ impl Engine {
             s.declared /= dd;
         }
         self.scheduler.register(id, spec.clone());
-        self.txns.insert(
-            id.0,
-            Txn {
-                spec,
-                arrival: now,
-                step: 0,
-                outstanding_cohorts: 0,
-                ever_started: false,
-                fault_kills: 0,
-            },
-        );
+        let txn = Txn {
+            spec,
+            arrival: now,
+            step: 0,
+            outstanding_cohorts: 0,
+            ever_started: false,
+            fault_kills: 0,
+        };
+        let dup = self.txns.insert(id, txn);
+        assert!(dup.is_none(), "duplicate txn id {}", id.0);
         self.arrived += 1;
         self.tracer.emit(|| Rec {
             at: now,
@@ -994,7 +1012,7 @@ impl Engine {
                         kind: EventKind::Admit { txn: id },
                     });
                     self.trace_edges();
-                    let txn = self.txns.get_mut(id.0).expect("admitted unknown txn");
+                    let txn = self.txns.get_mut(&id).expect("admitted unknown txn");
                     if !txn.ever_started {
                         txn.ever_started = true;
                         self.started += 1;
@@ -1209,51 +1227,26 @@ impl Engine {
         }
         let quantum = self.cfg.costs.quantum(self.cfg.dd);
         self.txns
-            .get_mut(id.0)
+            .get_mut(&id)
             .expect("dispatch unknown txn")
             .outstanding_cohorts = nodes.len() as u32;
         let start_at = now + self.cfg.costs.net_delay;
         for node in nodes {
             let cid = CohortId(self.next_cohort);
             self.next_cohort += 1;
-            self.cohort_owner.insert(cid.0, id.0);
+            self.cohort_owner.insert(cid, id);
             let cohort = Cohort {
                 id: cid,
                 remaining: work,
                 quantum,
             };
-            if !self.faults_on {
-                // Fault-free fast path, byte-identical to the pre-fault
-                // simulator.
-                self.tracer.emit(|| Rec {
-                    at: start_at,
-                    kind: EventKind::CohortStart {
-                        txn: id,
-                        step: step as u32,
-                        node: node.0,
-                    },
-                });
-                // net_delay is zero in the paper; the cohort starts now.
-                debug_assert_eq!(start_at, now);
-                let epoch = self.dpn_epoch[node.0 as usize];
-                if let Some(end) = self.dpns[node.0 as usize].add_cohort(start_at, cohort) {
-                    self.events.schedule_at(
-                        end,
-                        Event::SliceEnd {
-                            node: node.0,
-                            epoch,
-                        },
-                    );
-                }
-                continue;
-            }
-            // Fault path: apply the link model, then degraded routing at
-            // delivery time.
-            let link = self.cfg.faults.link;
             if !self.link_on {
                 self.deliver_cohort(start_at, node.0, cohort);
                 continue;
             }
+            // Link faults: the cohort arrives after the link delay (and
+            // the redelivery timeout when the message is lost).
+            let link = self.cfg.faults.link;
             let mut deliver_at = start_at + link.delay;
             if link.loss_per_mille > 0
                 && self.fault_rng.next_range(1000) < u64::from(link.loss_per_mille)
@@ -1284,7 +1277,7 @@ impl Engine {
     /// routing when the target is down. Drops the cohort silently when
     /// its owner was aborted while the message was in flight.
     fn deliver_cohort(&mut self, now: SimTime, node: u32, cohort: Cohort) {
-        let Some(owner) = self.cohort_owner.get(cohort.id.0).map(TxnId) else {
+        let Some(owner) = self.cohort_owner.get(&cohort.id).copied() else {
             return;
         };
         let target = if self.node_up[node as usize] {
@@ -1299,12 +1292,11 @@ impl Engine {
             self.held_cohorts.push((node, cohort));
             return;
         };
-        let step = self.txn(owner).step as u32;
         self.tracer.emit(|| Rec {
             at: now,
             kind: EventKind::CohortStart {
                 txn: owner,
-                step,
+                step: self.txns[&owner].step as u32,
                 node: n,
             },
         });
@@ -1336,7 +1328,7 @@ impl Engine {
         }
         if self.tracer.enabled() {
             // Owner lookup must precede the `finished` removal below.
-            if let Some(txn) = self.cohort_owner.get(out.ran.0).map(TxnId) {
+            if let Some(txn) = self.cohort_owner.get(&out.ran).copied() {
                 let start = now - out.slice;
                 self.tracer.emit(|| Rec {
                     at: now,
@@ -1345,12 +1337,12 @@ impl Engine {
             }
         }
         if let Some(cid) = out.finished {
-            let id = match self.cohort_owner.remove(cid.0).map(TxnId) {
+            let id = match self.cohort_owner.remove(&cid) {
                 Some(id) => id,
                 None => {
                     // Orphan of a fault-aborted transaction: its CPU was
                     // wasted, its completion is ignored.
-                    debug_assert!(self.faults_on, "finished cohort has no owner");
+                    debug_assert!(!self.cfg.faults.is_empty(), "finished cohort has no owner");
                     return;
                 }
             };
@@ -1364,7 +1356,7 @@ impl Engine {
                 },
             });
             let step = {
-                let txn = self.txns.get_mut(id.0).expect("cohort of unknown txn");
+                let txn = self.txns.get_mut(&id).expect("cohort of unknown txn");
                 txn.outstanding_cohorts -= 1;
                 if txn.outstanding_cohorts > 0 {
                     return;
@@ -1398,7 +1390,7 @@ impl Engine {
         self.obs.phase_end(tok);
         let total_steps = self.txn(id).spec.len();
         let next = step + 1;
-        self.txns.get_mut(id.0).expect("unknown txn").step = next;
+        self.txns.get_mut(&id).expect("unknown txn").step = next;
         if next < total_steps {
             self.begin_step(id, next);
         } else {
@@ -1428,7 +1420,7 @@ impl Engine {
             let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
             self.scheduler.commit_into(id, &mut touched);
             self.obs.phase_end(tok);
-            let txn = self.txns.remove(id.0).expect("commit of unknown txn");
+            let txn = self.txns.remove(&id).expect("commit of unknown txn");
             self.live.add(now, -1.0);
             self.completed += 1;
             self.tracer.emit(|| Rec {
@@ -1475,7 +1467,7 @@ impl Engine {
             kind: EventKind::Abort { txn: id, cause },
         });
         let kills = if cause == AbortCause::Fault {
-            let txn = self.txns.get_mut(id.0).expect("fault abort of unknown txn");
+            let txn = self.txns.get_mut(&id).expect("fault abort of unknown txn");
             txn.fault_kills += 1;
             txn.fault_kills
         } else {
@@ -1494,7 +1486,7 @@ impl Engine {
         self.obs.phase_end(tok);
         self.live.add(now, -1.0);
         let had_cohorts = {
-            let txn = self.txns.get_mut(id.0).expect("abort of unknown txn");
+            let txn = self.txns.get_mut(&id).expect("abort of unknown txn");
             let had = txn.outstanding_cohorts > 0;
             txn.step = 0;
             txn.outstanding_cohorts = 0;
@@ -1505,10 +1497,10 @@ impl Engine {
             // or in-flight cohorts lose their owner and are dropped when
             // they finish or arrive. Only fault aborts can get here —
             // scheduler/validation aborts never have work outstanding.
-            self.cohort_owner.retain(|_, owner| owner != id.0);
+            self.cohort_owner.retain(|_, owner| *owner != id);
         }
         if kill_for_good {
-            self.txns.remove(id.0);
+            self.txns.remove(&id);
             self.killed += 1;
             self.retry_hist.record_ticks(u64::from(kills));
             self.tracer.emit(|| Rec {
@@ -1554,7 +1546,7 @@ impl Engine {
                 let lost = self.dpns[n].crash(now);
                 let mut victims: Vec<TxnId> = lost
                     .iter()
-                    .filter_map(|cid| self.cohort_owner.remove(cid.0).map(TxnId))
+                    .filter_map(|cid| self.cohort_owner.remove(cid))
                     .collect();
                 victims.sort_unstable();
                 victims.dedup();
@@ -1693,16 +1685,10 @@ impl Engine {
         // delay, or — past the horizon — still live) re-registers its
         // declaration, already DD-scaled, with the fresh scheduler.
         let mut sched = kind.build(&self.cfg.costs);
-        let mut ids = self.txns.ids();
-        ids.sort_unstable();
-        for raw in ids {
-            let spec = self
-                .txns
-                .get(raw)
-                .expect("listed txn vanished")
-                .spec
-                .clone();
-            sched.register(TxnId(raw), spec);
+        let mut live: Vec<_> = self.txns.iter().collect();
+        live.sort_unstable_by_key(|&(id, _)| *id);
+        for (&id, txn) in live {
+            sched.register(id, txn.spec.clone());
         }
         self.scheduler = sched;
         self.label = kind.label();
@@ -2112,5 +2098,18 @@ mod tests {
         }
         assert_eq!(e.report(), bulk);
         assert_eq!(n, bulk.events);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate txn id 1")]
+    fn txns_reject_duplicate_ids() {
+        // Reissuing a live id must panic, not replace the transaction.
+        let mut e = Engine::new(&cfg(SchedulerKind::Nodc));
+        let write = || BatchSpec::new(vec![bds_workload::spec::Step::write(FileId(1), 1.0)]);
+        e.submit(write());
+        e.next_txn = 1;
+        // A fresh scheduler, so the engine's own check is the one hit.
+        e.scheduler = SchedulerKind::Nodc.build(&e.cfg.costs);
+        e.submit(write());
     }
 }

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod arena;
 pub mod config;
 pub mod engine;
 pub mod metrics;

@@ -298,6 +298,10 @@ fn configure_refuses_bad_input_and_stays_up() {
         (r#"{"cmd":"configure","metrics_dt_ms":0}"#, "metrics_dt_ms"),
         (r#"{"cmd":"configure","profile":1}"#, "profile"),
         (r#"{"cmd":"configure","workload":"exp1:0"}"#, "file count"),
+        // σ feeds `Normal::new`, which panics on a negative or
+        // non-finite deviation.
+        (r#"{"cmd":"configure","workload":"exp3:16:-1"}"#, "sigma"),
+        (r#"{"cmd":"configure","workload":"exp3:16:nan"}"#, "sigma"),
         (r#"{"cmd":"configure","bogus":1}"#, "bogus"),
         // `submit` file ids must be integers naming one of the 16 files.
         // Under LOW an id of 1e12 used to abort the whole server: the
@@ -312,6 +316,8 @@ fn configure_refuses_bad_input_and_stays_up() {
             "declared",
         ),
         (r#"{"cmd":"submit","steps":[]}"#, "step"),
+        // A zero-capacity ring used to panic in `RingRecorder::new`.
+        (r#"{"cmd":"trace","capacity":0}"#, "capacity"),
     ];
     for (req, needle) in cases {
         let msg = s.send_err(req);

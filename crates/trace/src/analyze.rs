@@ -432,7 +432,7 @@ impl Analysis {
 mod tests {
     use super::*;
     use crate::event::{AbortCause, Rec};
-    use crate::sink::{RingRecorder, TraceSink};
+    use crate::sink::RingRecorder;
 
     fn t(i: u64) -> TxnId {
         TxnId(i)

@@ -272,7 +272,7 @@ pub fn chrome_trace(data: &TraceData) -> String {
 mod tests {
     use super::*;
     use crate::event::Rec;
-    use crate::sink::{RingRecorder, TraceSink};
+    use crate::sink::RingRecorder;
     use bds_workload::FileId;
 
     fn rec(ms: u64, kind: EventKind) -> Rec {

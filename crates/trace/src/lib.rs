@@ -8,8 +8,8 @@
 //! * [`event`] — a typed event model over the full transaction
 //!   lifecycle, including scheduler refusal reasons;
 //! * [`sink`] — the [`Tracer`] handle (enum dispatch: the disabled path
-//!   is a single branch, no event construction, no virtual call), a
-//!   bounded [`RingRecorder`], and a no-op [`NullSink`];
+//!   is a single branch, no event construction, no virtual call) and a
+//!   bounded [`RingRecorder`];
 //! * [`analyze`] — fold a trace into per-transaction span summaries,
 //!   per-file contention tallies and a wait-for critical-path report;
 //! * [`chrome`] — export to Chrome `trace_event` JSON, viewable in
@@ -30,4 +30,4 @@ pub use analyze::{Analysis, Breakdown, CriticalPath, FileStats, TxnSpan};
 pub use chrome::chrome_trace;
 pub use event::{AbortCause, EventKind, Rec};
 pub use json::{JsonArr, JsonObj};
-pub use sink::{Counts, NullSink, RingRecorder, TraceData, TraceSink, Tracer};
+pub use sink::{Counts, RingRecorder, TraceData, Tracer};

@@ -12,21 +12,6 @@
 
 use crate::event::{EventKind, Rec};
 
-/// A destination for trace records.
-pub trait TraceSink {
-    /// Record one event.
-    fn record(&mut self, rec: Rec);
-}
-
-/// A sink that discards everything; `record` compiles to a no-op.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline(always)]
-    fn record(&mut self, _rec: Rec) {}
-}
-
 /// Monotone event counters, exact even when the ring wraps.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Counts {
@@ -197,10 +182,10 @@ impl RingRecorder {
             dropped: self.dropped,
         }
     }
-}
 
-impl TraceSink for RingRecorder {
-    fn record(&mut self, rec: Rec) {
+    /// Record one event: bump the exact counters and keep the record,
+    /// overwriting the oldest one when the ring is full.
+    pub fn record(&mut self, rec: Rec) {
         self.counts.bump(&rec.kind);
         if self.buf.len() < self.cap {
             self.buf.push(rec);
@@ -415,11 +400,5 @@ mod tests {
         assert!(t.untap().is_empty(), "no tap open");
         let data = t.finish().unwrap();
         assert_eq!(data.records.len(), 2, "the ring saw both records");
-    }
-
-    #[test]
-    fn null_sink_discards() {
-        let mut s = NullSink;
-        s.record(rec(1, EventKind::Commit { txn: TxnId(1) }));
     }
 }
