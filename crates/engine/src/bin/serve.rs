@@ -24,7 +24,9 @@
 //! Every response carries `"ok":true` or `"ok":false` plus `"error"`.
 //! Bad input is refused with `"ok":false` and leaves the session as it
 //! was: `configure` rejects unknown keys, non-integral or out-of-range
-//! integers and an `mpl` of 0; `submit` rejects a transaction that
+//! integers and every configuration [`bds_engine::SimConfig::validate`]
+//! refuses (an `mpl` of 0, a workload with fewer files than its pattern
+//! has slots, …); `submit` rejects a transaction that
 //! [`bds_engine::validate_spec`] refuses (for example a step `file` that
 //! does not name one of the workload's files); `restore` rejects a
 //! snapshot taken under another configuration or whose replay diverges
@@ -213,19 +215,14 @@ fn parse_workload(s: &str) -> Result<WorkloadKind, String> {
         let num_files = parse_file_count(n)?;
         let sigma: f64 = sigma
             .parse()
-            .ok()
-            .filter(|s: &f64| s.is_finite() && *s >= 0.0)
-            .ok_or_else(|| format!("bad sigma {sigma:?} (finite, >= 0)"))?;
+            .map_err(|_| format!("bad sigma {sigma:?} (finite, >= 0)"))?;
         return Ok(WorkloadKind::Exp3 { num_files, sigma });
     }
     Err(format!("unknown workload {s:?} (exp1:N | exp2 | exp3:N:S)"))
 }
 
 fn parse_file_count(n: &str) -> Result<u32, String> {
-    match n.parse() {
-        Ok(files) if files > 0 => Ok(files),
-        _ => Err(format!("bad file count {n:?}")),
-    }
+    n.parse().map_err(|_| format!("bad file count {n:?}"))
 }
 
 /// The `step` reply's view of one trace record: the lifecycle facts a
@@ -374,9 +371,6 @@ impl Session {
         };
         let mut cfg = SimConfig::new(kind, workload);
         if let Some(l) = req.get("lambda").and_then(JsonValue::as_num) {
-            if !(l > 0.0 && l.is_finite()) {
-                return Err(format!("lambda must be positive, got {l}"));
-            }
             cfg.lambda_tps = l;
         }
         if let Some(dd) = get_u32(req, "dd")? {
@@ -393,9 +387,6 @@ impl Session {
             cfg.seed = seed;
         }
         if let Some(mpl) = get_u32(req, "mpl")? {
-            if mpl == 0 {
-                return Err("mpl must be positive".into());
-            }
             cfg.mpl = Some(mpl);
         }
         let metrics_dt = get_u64(req, "metrics_dt_ms")?;
@@ -410,12 +401,7 @@ impl Session {
         if let Some(plan) = req.get("faults").and_then(JsonValue::as_str) {
             cfg = cfg.with_faults(FaultPlan::parse(plan)?);
         }
-        if cfg.dd < 1 || cfg.dd > cfg.costs.num_nodes {
-            return Err(format!(
-                "dd {} out of range 1..={}",
-                cfg.dd, cfg.costs.num_nodes
-            ));
-        }
+        cfg.validate()?;
         let mut engine = Engine::new(&cfg);
         engine.enable_checkpointing();
         if let Some(dt) = metrics_dt {

@@ -48,7 +48,33 @@ impl WorkloadKind {
         }
     }
 
+    /// Check that [`WorkloadKind::build`] can build this workload: the
+    /// patterns need as many distinct files as they have slots (two for
+    /// Experiments 1 and 3), and σ must be finite and non-negative.
+    pub fn validate(&self) -> Result<(), String> {
+        let (files, slots) = match self {
+            WorkloadKind::Exp1 { num_files } => (*num_files, 2),
+            WorkloadKind::Exp2 => return Ok(()),
+            WorkloadKind::Exp3 { num_files, sigma } => {
+                if !(sigma.is_finite() && *sigma >= 0.0) {
+                    return Err(format!("bad sigma {sigma} (finite, >= 0)"));
+                }
+                (*num_files, 2)
+            }
+            WorkloadKind::Custom { pattern, num_files } => (*num_files, pattern.num_slots),
+        };
+        if (files as usize) < slots {
+            return Err(format!(
+                "file count {files} too small: the pattern needs {slots} distinct files"
+            ));
+        }
+        Ok(())
+    }
+
     /// Build the generator with its own RNG stream.
+    ///
+    /// # Panics
+    /// Panics if [`WorkloadKind::validate`] refuses the workload.
     pub fn build(&self, rng: Xoshiro256) -> Box<dyn WorkloadGen> {
         match self {
             WorkloadKind::Exp1 { num_files } => Box::new(Experiment1::new(*num_files, rng)),
@@ -175,26 +201,27 @@ impl SimConfig {
         format!("{self:?}")
     }
 
-    /// Validate parameter ranges.
-    ///
-    /// # Panics
-    /// Panics on invalid combinations (DD > nodes, non-positive λ, …).
-    pub fn validate(&self) {
-        assert!(
-            self.lambda_tps > 0.0 && self.lambda_tps.is_finite(),
-            "lambda must be positive, got {}",
-            self.lambda_tps
-        );
-        assert!(
-            self.dd >= 1 && self.dd <= self.costs.num_nodes,
-            "DD {} out of range 1..={}",
-            self.dd,
-            self.costs.num_nodes
-        );
-        assert!(!self.horizon.is_zero(), "zero horizon");
-        if let Some(m) = self.mpl {
-            assert!(m > 0, "mpl cap must be positive");
+    /// Validate parameter ranges and the workload
+    /// ([`WorkloadKind::validate`]). [`crate::Engine::new`] panics on
+    /// the error; untrusted input (`bds-serve configure`) gets it as a
+    /// refusal.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.lambda_tps > 0.0 && self.lambda_tps.is_finite()) {
+            return Err(format!("lambda must be positive, got {}", self.lambda_tps));
         }
+        if !(self.dd >= 1 && self.dd <= self.costs.num_nodes) {
+            return Err(format!(
+                "DD {} out of range 1..={}",
+                self.dd, self.costs.num_nodes
+            ));
+        }
+        if self.horizon.is_zero() {
+            return Err("zero horizon".into());
+        }
+        if self.mpl == Some(0) {
+            return Err("mpl cap must be positive".into());
+        }
+        self.workload.validate()
     }
 }
 
@@ -209,7 +236,7 @@ mod tests {
         assert_eq!(c.dd, 1);
         assert_eq!(c.mpl, None);
         assert_eq!(c.costs.num_nodes, 8);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -223,7 +250,7 @@ mod tests {
         assert_eq!(c.dd, 4);
         assert_eq!(c.seed, 7);
         assert_eq!(c.mpl, Some(16));
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -260,7 +287,35 @@ mod tests {
     fn validate_rejects_bad_dd() {
         let mut c = SimConfig::new(SchedulerKind::Nodc, WorkloadKind::Exp1 { num_files: 16 });
         c.dd = 9;
-        c.validate();
+        c.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_refuses_workloads_the_generators_cannot_build() {
+        let cfg = |w| SimConfig::new(SchedulerKind::Low(2), w);
+        for w in [
+            WorkloadKind::Exp1 { num_files: 1 },
+            WorkloadKind::Exp3 {
+                num_files: 1,
+                sigma: 0.5,
+            },
+        ] {
+            let err = cfg(w).validate().unwrap_err();
+            assert!(err.contains("file count 1"), "{err}");
+        }
+        for sigma in [-1.0, f64::NAN, f64::INFINITY] {
+            let w = WorkloadKind::Exp3 {
+                num_files: 16,
+                sigma,
+            };
+            assert!(cfg(w).validate().unwrap_err().contains("sigma"));
+        }
+        let w = WorkloadKind::Custom {
+            pattern: Pattern::pattern1(),
+            num_files: 1,
+        };
+        assert!(cfg(w).validate().is_err());
+        assert_eq!(cfg(WorkloadKind::Exp1 { num_files: 2 }).validate(), Ok(()));
     }
 
     #[test]

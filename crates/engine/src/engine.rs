@@ -304,8 +304,13 @@ fn metric_columns(num_nodes: u32) -> Vec<String> {
 impl Engine {
     /// Build an engine from a configuration (workload taken from
     /// `cfg.workload`).
+    ///
+    /// # Panics
+    /// Panics if [`SimConfig::validate`] refuses the configuration.
     pub fn new(cfg: &SimConfig) -> Self {
-        cfg.validate();
+        if let Err(err) = cfg.validate() {
+            panic!("{err}");
+        }
         let mut master = bds_des::rng::Xoshiro256::seed_from_u64(cfg.seed);
         let arrival_rng = master.fork();
         let workload_rng = master.fork();
@@ -320,7 +325,9 @@ impl Engine {
         genr: Box<dyn WorkloadGen>,
         arrival_rng: bds_des::rng::Xoshiro256,
     ) -> Self {
-        cfg.validate();
+        if let Err(err) = cfg.validate() {
+            panic!("{err}");
+        }
         let placement = Placement::new(cfg.costs.num_nodes, cfg.dd);
         let arrivals = PoissonArrivals::new(cfg.lambda_tps, arrival_rng);
         let mut events = EventQueue::new();
@@ -1777,6 +1784,7 @@ impl Engine {
         if cfg.cache_key() != snap.cache_key {
             return Err("snapshot was taken under a different configuration".into());
         }
+        cfg.validate()?;
         let mut e = Engine::new(&cfg);
         e.enable_checkpointing();
         for input in &snap.inputs {

@@ -298,6 +298,13 @@ fn configure_refuses_bad_input_and_stays_up() {
         (r#"{"cmd":"configure","metrics_dt_ms":0}"#, "metrics_dt_ms"),
         (r#"{"cmd":"configure","profile":1}"#, "profile"),
         (r#"{"cmd":"configure","workload":"exp1:0"}"#, "file count"),
+        // The Experiment 1 pattern needs two distinct files; one used
+        // to abort the server in the generator.
+        (r#"{"cmd":"configure","workload":"exp1:1"}"#, "file count"),
+        (
+            r#"{"cmd":"configure","workload":"exp3:1:0.5"}"#,
+            "file count",
+        ),
         // σ feeds `Normal::new`, which panics on a negative or
         // non-finite deviation.
         (r#"{"cmd":"configure","workload":"exp3:16:-1"}"#, "sigma"),

@@ -25,8 +25,10 @@ pub struct C2pl {
     core: WtpgCore,
     table: LockTable,
     dd_time: Duration,
-    /// Reused traversal state for the deadlock-prediction search.
-    ps: paths::Scratch,
+    /// Topological order of the precedence graph, which is a DAG by
+    /// construction: deadlock prediction searches only the window below
+    /// the requester.
+    order: paths::TopoOrder,
     /// Scratch: implied orientations of the current request.
     orient_buf: Vec<(TxnId, TxnId)>,
 }
@@ -42,7 +44,7 @@ impl C2pl {
 
     /// Would applying these orientations close a precedence cycle?
     fn creates_cycle(
-        ps: &mut paths::Scratch,
+        order: &mut paths::TopoOrder,
         core: &WtpgCore,
         orientations: &[(TxnId, TxnId)],
     ) -> bool {
@@ -58,7 +60,7 @@ impl C2pl {
             None => return false,
         };
         debug_assert!(orientations.iter().all(|&(f, _)| f == from));
-        ps.reachable_from_any(&core.graph, orientations.iter().map(|&(_, to)| to), from)
+        order.reachable_from_any(&core.graph, orientations.iter().map(|&(_, to)| to), from)
     }
 }
 
@@ -73,6 +75,8 @@ impl Scheduler for C2pl {
 
     fn try_start(&mut self, id: TxnId) -> Outcome<StartDecision> {
         self.core.add_live(id, &self.table);
+        // Its only decided edges are holder → `id`: they point forward.
+        self.order.admit(&self.core.graph, id);
         Outcome::free(StartDecision::Admit)
     }
 
@@ -85,13 +89,16 @@ impl Scheduler for C2pl {
         // Phase 2: deadlock prediction over declared accesses.
         self.core
             .implied_orientations_into(id, s.file, s.mode, &mut self.orient_buf);
-        if Self::creates_cycle(&mut self.ps, &self.core, &self.orient_buf) {
+        if Self::creates_cycle(&mut self.order, &self.core, &self.orient_buf) {
             return Outcome::costed(ReqDecision::Delayed, self.dd_time)
                 .because("predicted-deadlock");
         }
         // Grant.
         self.table.grant(id, s.file, s.mode);
         self.core.apply_orientations(&self.orient_buf);
+        for &(from, to) in &self.orient_buf {
+            self.order.edge_decided(&self.core.graph, from, to);
+        }
         Outcome::costed(ReqDecision::Granted, self.dd_time)
     }
 

@@ -50,6 +50,12 @@ impl WtpgCore {
         self.graph.len()
     }
 
+    /// The live declarers of `file` with their strongest declared modes,
+    /// in admission order.
+    pub fn declarers(&self, file: FileId) -> &[(TxnId, LockMode)] {
+        self.by_file.get(file.0 as usize).map_or(&[], Vec::as_slice)
+    }
+
     /// The live transactions that declared an access to `file`
     /// conflicting with `mode`, other than `id`, in admission order —
     /// borrowed iterator, no allocation.
@@ -59,9 +65,7 @@ impl WtpgCore {
         file: FileId,
         mode: LockMode,
     ) -> impl Iterator<Item = TxnId> + '_ {
-        self.by_file
-            .get(file.0 as usize)
-            .map_or(&[][..], Vec::as_slice)
+        self.declarers(file)
             .iter()
             .filter(move |&&(other, m)| other != id && !m.compatible(mode))
             .map(|&(other, _)| other)
@@ -89,54 +93,56 @@ impl WtpgCore {
             .any(|other| self.graph.is_decided(other, id))
     }
 
-    /// The live transactions whose declarations conflict with `id`'s
-    /// declaration on *any* file, in ascending id order.
-    pub fn conflicting_live(&self, id: TxnId) -> Vec<TxnId> {
-        let spec = &self.specs[&id];
-        let mut out: Vec<TxnId> = spec
-            .lock_set()
-            .into_iter()
-            .flat_map(|(file, mode)| self.conflicting_declarers_iter(id, file, mode))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Admit `id` into the WTPG: add its node (T0 weight = total declared
     /// demand), declare conflict edges against every conflicting live
     /// transaction, and orient edges toward transactions that already
     /// hold a conflicting lock on a shared-conflict file (they accessed
     /// it first, so they precede `id`).
+    ///
+    /// The conflicting transactions are read from `id`'s own `by_file`
+    /// rows and handled in ascending id order.
     pub fn add_live(&mut self, id: TxnId, table: &LockTable) {
-        let spec = self.specs[&id].clone();
-        self.graph.add_txn(id, spec.total_declared());
-        let others: Vec<TxnId> = self.conflicting_live(id);
-        for (file, mode) in spec.lock_set() {
+        let WtpgCore {
+            graph,
+            specs,
+            by_file,
+            constraints,
+        } = self;
+        let spec = &specs[&id];
+        graph.add_txn(id, spec.total_declared());
+        let lock_set = spec.lock_set();
+        let mut others = Vec::new();
+        for &(file, mode) in &lock_set {
             let idx = file.0 as usize;
-            if idx >= self.by_file.len() {
-                self.by_file.resize_with(idx + 1, Vec::new);
+            if idx >= by_file.len() {
+                by_file.resize_with(idx + 1, Vec::new);
             }
-            self.by_file[idx].push((id, mode));
+            let row = &mut by_file[idx];
+            others.extend(
+                row.iter()
+                    .filter(|&&(_, m)| !m.compatible(mode))
+                    .map(|&(other, _)| other),
+            );
+            row.push((id, mode));
         }
+        others.sort_unstable();
+        others.dedup();
         for other in others {
-            let ospec = &self.specs[&other];
-            if let Some((w_new_other, w_other_new)) = conflict::edge_weights(&spec, ospec) {
-                self.graph
-                    .declare_conflict(id, other, w_new_other, w_other_new);
-                // If `other` already holds a conflicting lock on one of
-                // the pair's conflict files, its access came first.
-                let holds_first =
-                    conflict::conflicting_files(&spec, ospec)
-                        .into_iter()
-                        .any(
-                            |file| match (table.mode_held(other, file), spec.mode_on(file)) {
-                                (Some(held), Some(want)) => !held.compatible(want),
-                                _ => false,
-                            },
-                        );
-                if holds_first {
-                    self.set_precedence(other, id);
+            let ospec = &specs[&other];
+            if let Some((w_new_other, w_other_new)) = conflict::edge_weights(spec, ospec) {
+                graph.declare_conflict(id, other, w_new_other, w_other_new);
+                // If `other` already holds a lock conflicting with `id`'s
+                // declaration on some file, its access came first. (A
+                // held lock is never stronger than its holder's
+                // declaration, so that file is one the pair conflicts
+                // on.)
+                let holds_first = lock_set.iter().any(|&(file, want)| {
+                    table
+                        .mode_held(other, file)
+                        .is_some_and(|held| !held.compatible(want))
+                });
+                if holds_first && graph.set_precedence(other, id) {
+                    constraints.push((other, id));
                 }
             }
         }
@@ -217,11 +223,9 @@ impl WtpgCore {
     /// Panics if the pair is decided in the opposite direction — callers
     /// must never apply inconsistent orientations.
     pub fn set_precedence(&mut self, from: TxnId, to: TxnId) {
-        if self.graph.is_decided(from, to) {
-            return;
+        if self.graph.set_precedence(from, to) {
+            self.constraints.push((from, to));
         }
-        self.graph.set_precedence(from, to);
-        self.constraints.push((from, to));
     }
 
     /// Apply all orientations (grant committed); panics on inconsistency.
@@ -419,5 +423,96 @@ mod tests {
         assert_eq!(buf, vec![(t(1), t(3))]);
         assert!(!core.has_adverse_declarer(t(1), f(0), LockMode::Exclusive));
         assert!(core.has_adverse_declarer(t(2), f(0), LockMode::Exclusive));
+    }
+
+    /// A random declaration of 1–4 steps over 6 files, shared or
+    /// exclusive.
+    fn random_spec(r: &mut bds_des::rng::Xoshiro256) -> BatchSpec {
+        let n = 1 + r.next_index(4);
+        BatchSpec::new(
+            (0..n)
+                .map(|_| {
+                    let file = f(r.next_range(6) as u32);
+                    let cost = 1.0 + r.next_range(5) as f64;
+                    if r.next_range(2) == 0 {
+                        Step::read(file, LockMode::Shared, cost)
+                    } else {
+                        xw(file, cost)
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// `add_live` must build the graph (and precedence log) that
+    /// declaring every conflicting pair one at a time builds: for each
+    /// live `other` in id order, `declare_conflict` with the pair's
+    /// weights, then `other → id` if `other` holds a lock that conflicts
+    /// with `id`'s declaration on a file both declare. Removals and
+    /// re-admissions of the same ids (restarts, which are not the
+    /// largest id) take the ordered-insert path.
+    #[test]
+    fn add_live_matches_per_pair_declarations() {
+        for case in 0..64u64 {
+            let mut r = bds_des::rng::Xoshiro256::seed_from_u64(0xADD1 ^ case);
+            let mut core = WtpgCore::new();
+            let mut reference = Wtpg::new();
+            let mut ref_constraints = Vec::new();
+            let mut table = LockTable::new();
+            let n = 12u64;
+            for i in 0..n {
+                core.register(t(i), random_spec(&mut r));
+            }
+            let mut admit =
+                |core: &mut WtpgCore, reference: &mut Wtpg, table: &LockTable, id: TxnId| {
+                    let spec = core.spec(id).clone();
+                    let live: Vec<TxnId> = reference.txns().collect();
+                    reference.add_txn(id, spec.total_declared());
+                    for other in live {
+                        let ospec = core.spec(other);
+                        let Some((w_new, w_old)) = conflict::edge_weights(&spec, ospec) else {
+                            continue;
+                        };
+                        reference.declare_conflict(id, other, w_new, w_old);
+                        let holds_first = spec.lock_set().into_iter().any(|(file, want)| {
+                            let theirs = ospec.mode_on(file);
+                            let held = table.mode_held(other, file);
+                            matches!((theirs, held), (Some(m), Some(h))
+                            if !m.compatible(want) && !h.compatible(want))
+                        });
+                        if holds_first && reference.set_precedence(other, id) {
+                            ref_constraints.push((other, id));
+                        }
+                    }
+                    core.add_live(id, table);
+                };
+            let mut restarted = 0;
+            for _ in 0..60 {
+                let id = t(r.next_range(n));
+                if core.is_live(id) {
+                    if r.next_range(3) == 0 {
+                        // Abort: drop the node and its locks.
+                        core.remove_live_only(id);
+                        reference.remove_txn(id);
+                        table.release_all(id);
+                        continue;
+                    }
+                    // Take one of its declared locks if it can.
+                    let steps = core.spec(id).steps.clone();
+                    let st = steps[r.next_index(steps.len())];
+                    if table.can_grant(id, st.file, st.mode) {
+                        table.grant(id, st.file, st.mode);
+                    }
+                } else {
+                    if reference.txns().any(|o| o > id) {
+                        restarted += 1;
+                    }
+                    admit(&mut core, &mut reference, &table, id);
+                }
+                assert_eq!(core.graph, reference, "case {case}");
+            }
+            assert_eq!(core.drain_constraints(), ref_constraints, "case {case}");
+            assert!(restarted > 0, "case {case} admitted no non-largest id");
+        }
     }
 }

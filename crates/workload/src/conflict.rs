@@ -8,26 +8,11 @@
 //! of `{T1→T2}` is 2 — T2 is blocked at its second step and still needs
 //! 2 objects — and `{T2→T1}` is 5).
 
-use crate::spec::{BatchSpec, FileId};
+use crate::spec::BatchSpec;
 
 /// Do the two declarations conflict on at least one file?
 pub fn conflicts(a: &BatchSpec, b: &BatchSpec) -> bool {
     first_conflicting_step(a, b).is_some()
-}
-
-/// The set of files on which the two declarations conflict.
-pub fn conflicting_files(a: &BatchSpec, b: &BatchSpec) -> Vec<FileId> {
-    let mut out = Vec::new();
-    for (fa, ma) in a.lock_set() {
-        if let Some(mb) = b.mode_on(fa) {
-            if !ma.compatible(mb) {
-                out.push(fa);
-            }
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// Index of `b`'s first step whose access conflicts with `a`'s declared
@@ -60,7 +45,7 @@ pub fn edge_weights(a: &BatchSpec, b: &BatchSpec) -> Option<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{LockMode, Step};
+    use crate::spec::{FileId, LockMode, Step};
 
     fn f(i: u32) -> FileId {
         FileId(i)
@@ -92,7 +77,6 @@ mod tests {
         // T1 is blocked by T2 at its 1st step r1(A:1): remaining 5.
         assert_eq!(edge_weight(&b, &a), Some(5.0));
         assert_eq!(edge_weights(&a, &b), Some((2.0, 5.0)));
-        assert_eq!(conflicting_files(&a, &b), vec![f(0)]);
     }
 
     #[test]

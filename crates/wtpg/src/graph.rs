@@ -1,9 +1,13 @@
 //! WTPG storage: nodes, conflict edges, precedence edges, weights.
 //!
-//! The graph is small — the paper's machine runs at most a few dozen
-//! concurrent batch transactions — but it sits on the scheduler hot
-//! path: every lock decision in GOW/LOW/C2PL walks it, and the parallel
-//! sweep executor multiplies that across thousands of simulation points.
+//! Its size depends on the scheduler. The admission-gated kinds (GOW,
+//! LOW) keep a few dozen live transactions at most, but C2PL and BROOK
+//! admit every arrival: at the Fig. 8 hot point (Exp. 1, 16 files,
+//! λ = 1.1, 2 000 s) C2PL's graph holds ~2 000 live transactions and
+//! ~495 000 pair edges, so a node has ~490 neighbours. The graph sits
+//! on the scheduler hot path: every lock decision in GOW/LOW/C2PL walks
+//! it, and the parallel sweep executor multiplies that across thousands
+//! of simulation points.
 //! Storage is therefore a dense slot arena rather than the original
 //! `BTreeMap` design: a sorted `TxnId → u32` slot map with free-list
 //! reuse, and per-slot inline adjacency arrays ([`crate::smallvec`])
@@ -304,6 +308,16 @@ impl PartialEq for Wtpg {
     }
 }
 
+/// Position of `id` in an id-sorted adjacency list, as
+/// `binary_search` reports it, with the append case (`id` above every
+/// entry) answered from the last entry alone.
+fn adj_search(adj: &[Adj], id: TxnId) -> Result<usize, usize> {
+    match adj.last() {
+        Some(last) if last.id < id => Err(adj.len()),
+        _ => adj.binary_search_by_key(&id, |x| x.id),
+    }
+}
+
 impl Wtpg {
     /// An empty graph.
     pub fn new() -> Self {
@@ -511,8 +525,12 @@ impl Wtpg {
     /// has an edge the weights are overwritten but a decided direction is
     /// kept (weights of pair edges are fixed at declaration time in the
     /// paper; re-declaration only happens when a transaction restarts).
+    ///
+    /// Each endpoint's slot is resolved once. A newly admitted
+    /// transaction usually has the largest live id, so both adjacency
+    /// lists are checked for an append before the ordered insert (a
+    /// restarted id is not the largest and takes the insert).
     pub fn declare_conflict(&mut self, a: TxnId, b: TxnId, w_ab: f64, w_ba: f64) {
-        assert!(self.contains(a) && self.contains(b), "unknown endpoint");
         assert!(
             w_ab.is_finite() && w_ab >= 0.0 && w_ba.is_finite() && w_ba >= 0.0,
             "invalid conflict weights"
@@ -523,10 +541,11 @@ impl Wtpg {
         } else {
             (w_ba, w_ab)
         };
-        let sa = self.lookup(a).unwrap();
-        let sb = self.lookup(b).unwrap();
-        match self.adj_pos(a, b) {
-            Some((_, i)) => {
+        let (Some(sa), Some(sb)) = (self.lookup(a), self.lookup(b)) else {
+            panic!("unknown endpoint");
+        };
+        match adj_search(self.slots[sa as usize].adj.as_slice(), b) {
+            Ok(i) => {
                 let state = self.slots[sa as usize].adj.as_slice()[i].edge.state;
                 let edge = PairEdge {
                     w_lo_hi,
@@ -534,21 +553,17 @@ impl Wtpg {
                     state,
                 };
                 self.slots[sa as usize].adj.as_mut_slice()[i].edge = edge;
-                let (_, j) = self.adj_pos(b, a).expect("reciprocal adjacency missing");
+                let j = adj_search(self.slots[sb as usize].adj.as_slice(), a)
+                    .expect("reciprocal adjacency missing");
                 self.slots[sb as usize].adj.as_mut_slice()[j].edge = edge;
                 self.log(GraphEvent::Touched(a));
             }
-            None => {
+            Err(i) => {
                 let edge = PairEdge {
                     w_lo_hi,
                     w_hi_lo,
                     state: EdgeState::Conflict,
                 };
-                let i = self.slots[sa as usize]
-                    .adj
-                    .as_slice()
-                    .binary_search_by_key(&b, |x| x.id)
-                    .unwrap_err();
                 self.slots[sa as usize].adj.insert(
                     i,
                     Adj {
@@ -557,11 +572,8 @@ impl Wtpg {
                         edge,
                     },
                 );
-                let j = self.slots[sb as usize]
-                    .adj
-                    .as_slice()
-                    .binary_search_by_key(&a, |x| x.id)
-                    .unwrap_err();
+                let j = adj_search(self.slots[sb as usize].adj.as_slice(), a)
+                    .expect_err("one-sided adjacency");
                 self.slots[sb as usize].adj.insert(
                     j,
                     Adj {

@@ -1,5 +1,6 @@
 //! Path algorithms over the WTPG: reachability, cycle detection, critical
-//! path, and precedence propagation.
+//! path, precedence propagation, and a topological order kept up to
+//! date for incremental cycle checks ([`TopoOrder`]).
 //!
 //! All algorithms operate on the *decided* (precedence) edges only;
 //! undecided conflict edges are ignored, exactly as Phase 2 of the paper's
@@ -114,46 +115,6 @@ impl Scratch {
                     continue;
                 }
                 if a.id == to {
-                    self.frames.clear();
-                    return true;
-                }
-                if self.mark[a.slot as usize] != e {
-                    self.mark[a.slot as usize] = e;
-                    self.frames.push((a.slot, 0));
-                }
-            }
-        }
-        false
-    }
-
-    /// Is `target` reachable from *any* of `sources` (each counting
-    /// itself as reachable)? Multi-source variant used by C2PL's
-    /// predicted-deadlock check.
-    pub fn reachable_from_any<I>(&mut self, g: &Wtpg, sources: I, target: TxnId) -> bool
-    where
-        I: IntoIterator<Item = TxnId>,
-    {
-        self.begin(g);
-        let e = self.epoch;
-        for src in sources {
-            if src == target {
-                self.frames.clear();
-                return true;
-            }
-            if let Some(s) = g.lookup(src) {
-                if self.mark[s as usize] != e {
-                    self.mark[s as usize] = e;
-                    self.frames.push((s, 0));
-                }
-            }
-        }
-        while let Some((s, _)) = self.frames.pop() {
-            let owner = g.slot_id(s);
-            for a in g.slot_adj(s) {
-                if !a.owner_precedes(owner) {
-                    continue;
-                }
-                if a.id == target {
                     self.frames.clear();
                     return true;
                 }
@@ -425,6 +386,208 @@ impl Scratch {
     }
 }
 
+/// A topological order of the decided (precedence) subgraph, kept up to
+/// date as edges are decided (Pearce & Kelly, "A dynamic topological
+/// sort algorithm for directed acyclic graphs", JEA 2006).
+///
+/// Invariant: every decided edge `u → v` between live nodes has
+/// `position(u) < position(v)`. Positions are indexed by arena slot, so
+/// a lookup is one array read.
+///
+/// - [`TopoOrder::admit`] gives a new node the next position, past every
+///   other. Its decided edges at that point must all point into it.
+/// - [`TopoOrder::edge_decided`] restores the invariant after one edge
+///   is decided. It reorders only the window between the edge's two
+///   positions; an edge that already points forward costs one compare.
+/// - Removing a node leaves the order valid, so there is no removal
+///   hook.
+///
+/// The order exists to answer [`TopoOrder::reachable_from_any`] with a
+/// search that skips every node ordered after the target. Only a
+/// scheduler that asks such questions (C2PL) keeps one.
+#[derive(Debug, Default)]
+pub struct TopoOrder {
+    /// Position per arena slot (meaningful for live slots only).
+    ord: Vec<u64>,
+    /// The position the next admitted node takes.
+    next: u64,
+    /// Epoch-stamped visit marks per slot.
+    mark: Vec<u64>,
+    /// Current search epoch; a slot is marked iff its cell equals it.
+    epoch: u64,
+    /// DFS stack of slots.
+    stack: Vec<u32>,
+    /// Slots found by a reorder's forward search (from the edge's head).
+    fwd: Vec<u32>,
+    /// Slots found by a reorder's backward search (from the edge's tail).
+    back: Vec<u32>,
+    /// The positions a reorder hands out again.
+    pool: Vec<u64>,
+}
+
+impl TopoOrder {
+    /// An empty order.
+    pub fn new() -> Self {
+        TopoOrder::default()
+    }
+
+    /// Size the per-slot buffers to the arena and start a new search.
+    fn begin(&mut self, g: &Wtpg) {
+        let n = g.slot_bound();
+        if self.mark.len() < n {
+            self.mark.resize(n, 0);
+            self.ord.resize(n, 0);
+        }
+        self.epoch += 1;
+        self.stack.clear();
+    }
+
+    fn slot(g: &Wtpg, t: TxnId) -> u32 {
+        g.lookup(t)
+            .unwrap_or_else(|| panic!("unknown transaction {t:?}"))
+    }
+
+    /// Place the newly added node `t` after every other node.
+    ///
+    /// # Panics
+    /// Panics if `t` is not live.
+    pub fn admit(&mut self, g: &Wtpg, t: TxnId) {
+        let s = Self::slot(g, t);
+        self.begin(g);
+        debug_assert!(
+            g.slot_adj(s).iter().all(|a| !a.owner_precedes(t)),
+            "{t:?} admitted with a decided outgoing edge"
+        );
+        self.ord[s as usize] = self.next;
+        self.next += 1;
+    }
+
+    /// The position of node `t`, if it is live. (Meaningful only for
+    /// nodes placed by [`TopoOrder::admit`].)
+    pub fn position(&self, g: &Wtpg, t: TxnId) -> Option<u64> {
+        g.lookup(t).map(|s| self.ord[s as usize])
+    }
+
+    /// Restore the invariant after the edge `from → to` was decided.
+    ///
+    /// Every other decided edge must already respect the order, except
+    /// further edges that leave `from`: a grant decides several of those
+    /// at once, and fixing them one after another is sound because
+    /// neither search can reach `from` again without a cycle.
+    ///
+    /// If `to` is ordered before `from`, a forward search from `to`
+    /// collects the nodes ordered before `from`, a backward search from
+    /// `from` collects the nodes ordered after `to`, and the positions
+    /// of both sets are handed out again: the backward set first, then
+    /// the forward set, each in its old relative order.
+    ///
+    /// # Panics
+    /// Panics if either node is not live. Debug builds also panic if the
+    /// edge closes a cycle.
+    pub fn edge_decided(&mut self, g: &Wtpg, from: TxnId, to: TxnId) {
+        let (sf, st) = (Self::slot(g, from), Self::slot(g, to));
+        let (lb, ub) = (self.ord[st as usize], self.ord[sf as usize]);
+        if lb > ub {
+            return;
+        }
+        self.begin(g);
+        let e = self.epoch;
+        // Forward: successors of `to` ordered before `from`.
+        self.fwd.clear();
+        self.mark[st as usize] = e;
+        self.stack.push(st);
+        while let Some(s) = self.stack.pop() {
+            self.fwd.push(s);
+            let owner = g.slot_id(s);
+            for a in g.slot_adj(s) {
+                if !a.owner_precedes(owner) {
+                    continue;
+                }
+                debug_assert!(a.id != from, "{from:?} -> {to:?} closes a cycle");
+                let n = a.slot as usize;
+                if self.ord[n] < ub && self.mark[n] != e {
+                    self.mark[n] = e;
+                    self.stack.push(a.slot);
+                }
+            }
+        }
+        // Backward: predecessors of `from` ordered after `to`.
+        self.back.clear();
+        self.mark[sf as usize] = e;
+        self.stack.push(sf);
+        while let Some(s) = self.stack.pop() {
+            self.back.push(s);
+            let owner = g.slot_id(s);
+            for a in g.slot_adj(s) {
+                let n = a.slot as usize;
+                if a.neighbor_precedes(owner) && self.ord[n] > lb && self.mark[n] != e {
+                    self.mark[n] = e;
+                    self.stack.push(a.slot);
+                }
+            }
+        }
+        let ord = &mut self.ord;
+        self.back.sort_unstable_by_key(|&s| ord[s as usize]);
+        self.fwd.sort_unstable_by_key(|&s| ord[s as usize]);
+        self.pool.clear();
+        self.pool
+            .extend(self.back.iter().chain(&self.fwd).map(|&s| ord[s as usize]));
+        self.pool.sort_unstable();
+        for (&s, &p) in self.back.iter().chain(&self.fwd).zip(&self.pool) {
+            ord[s as usize] = p;
+        }
+    }
+
+    /// Is `target` reachable over decided edges from *any* of `sources`
+    /// (each counting itself as reachable)? Asked with `target = from`
+    /// and the heads of new edges `from → to` as sources, it says
+    /// whether deciding those edges would close a cycle.
+    ///
+    /// Every path climbs the order, so the search starts only from
+    /// sources ordered before `target` and visits only nodes ordered
+    /// before it. Sources that are not live are skipped.
+    ///
+    /// # Panics
+    /// Panics if `target` is not live.
+    pub fn reachable_from_any<I>(&mut self, g: &Wtpg, sources: I, target: TxnId) -> bool
+    where
+        I: IntoIterator<Item = TxnId>,
+    {
+        self.begin(g);
+        let ub = self.ord[Self::slot(g, target) as usize];
+        let e = self.epoch;
+        for src in sources {
+            if src == target {
+                return true;
+            }
+            if let Some(s) = g.lookup(src) {
+                if self.ord[s as usize] < ub && self.mark[s as usize] != e {
+                    self.mark[s as usize] = e;
+                    self.stack.push(s);
+                }
+            }
+        }
+        while let Some(s) = self.stack.pop() {
+            let owner = g.slot_id(s);
+            for a in g.slot_adj(s) {
+                if !a.owner_precedes(owner) {
+                    continue;
+                }
+                if a.id == target {
+                    self.stack.clear();
+                    return true;
+                }
+                let n = a.slot as usize;
+                if self.ord[n] < ub && self.mark[n] != e {
+                    self.mark[n] = e;
+                    self.stack.push(a.slot);
+                }
+            }
+        }
+        false
+    }
+}
+
 /// Is there a directed precedence path `from ⇝ to`?
 ///
 /// `from == to` counts as reachable (empty path). One-shot wrapper over
@@ -674,16 +837,43 @@ mod tests {
     #[test]
     fn reachable_from_any_multi_source() {
         let mut g = Wtpg::new();
+        let mut order = TopoOrder::new();
         for i in 1..=4 {
             g.add_txn(t(i), 0.0);
+            order.admit(&g, t(i));
         }
         g.declare_conflict(t(1), t(2), 1.0, 1.0);
         g.set_precedence(t(1), t(2));
-        let mut s = Scratch::new();
-        assert!(s.reachable_from_any(&g, [t(3), t(1)], t(2)));
-        assert!(!s.reachable_from_any(&g, [t(3), t(4)], t(2)));
-        assert!(s.reachable_from_any(&g, [t(2)], t(2)), "self counts");
-        assert!(!s.reachable_from_any(&g, std::iter::empty(), t(2)));
+        order.edge_decided(&g, t(1), t(2));
+        assert!(order.reachable_from_any(&g, [t(3), t(1)], t(2)));
+        assert!(!order.reachable_from_any(&g, [t(3), t(4)], t(2)));
+        assert!(order.reachable_from_any(&g, [t(2)], t(2)), "self counts");
+        assert!(!order.reachable_from_any(&g, std::iter::empty(), t(2)));
+    }
+
+    /// A backward edge moves only the window between its endpoints:
+    /// deciding 4 → 2 over the chain 2 → 3 puts 4 before 2 and leaves
+    /// 1 and 3 where they were.
+    #[test]
+    fn backward_edge_reorders_only_its_window() {
+        let mut g = Wtpg::new();
+        let mut order = TopoOrder::new();
+        for i in 1..=4 {
+            g.add_txn(t(i), 0.0);
+            order.admit(&g, t(i));
+        }
+        g.declare_conflict(t(2), t(3), 1.0, 1.0);
+        g.declare_conflict(t(4), t(2), 1.0, 1.0);
+        g.set_precedence(t(2), t(3));
+        order.edge_decided(&g, t(2), t(3));
+        g.set_precedence(t(4), t(2));
+        order.edge_decided(&g, t(4), t(2));
+        let pos: Vec<u64> = (1..=4).map(|i| order.position(&g, t(i)).unwrap()).collect();
+        assert_eq!(pos, vec![0, 2, 3, 1]);
+        // The search from 3 back to 4 is cut at once: 3 is ordered
+        // after 4, so no path can lead from it to 4.
+        assert!(!order.reachable_from_any(&g, [t(3)], t(4)));
+        assert!(order.reachable_from_any(&g, [t(4)], t(3)));
     }
 
     /// Deep chain: the recursive version of these algorithms overflowed

@@ -1,10 +1,11 @@
 //! A tiny inline-first vector for `Copy` element types.
 //!
-//! The WTPG arena stores each node's adjacency in a `SmallVec<Adj, 4>`:
-//! the paper's workloads keep conflict degrees small (chain-form graphs
-//! have degree ≤ 2), so adjacency almost never leaves the inline array
-//! and the graph's hot loops touch one contiguous slab of memory. The
-//! crate is dependency-free and forbids `unsafe`, so this is a safe
+//! The WTPG arena stores each node's adjacency in a `SmallVec<Adj, 4>`.
+//! GOW's chain-form graphs have degree ≤ 2 and stay inline, so its hot
+//! loops touch one contiguous slab of memory. The other graphs are not
+//! chain-form: at the Fig. 8 hot point C2PL's nodes average ~490
+//! neighbours, and their adjacency lives in the spill `Vec`. The crate
+//! is dependency-free and forbids `unsafe`, so this is a safe
 //! hand-rolled implementation: elements live in `inline[..len]` until
 //! they outgrow `N`, after which they spill into a heap `Vec` (and stay
 //! there — a spilled vector never moves back inline, so `clear` keeps
