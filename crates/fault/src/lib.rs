@@ -306,7 +306,9 @@ impl FaultPlan {
     /// seed=N                  fault-side RNG seed
     /// ```
     ///
-    /// The empty string parses to [`FaultPlan::none`].
+    /// Every time or span is at most [`MAX_PLAN_MILLIS`]; a larger one,
+    /// which would overflow the simulator's millisecond clock, is an
+    /// `Err`. The empty string parses to [`FaultPlan::none`].
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::none();
         for part in s.split(',') {
@@ -327,8 +329,8 @@ impl FaultPlan {
                         .ok_or_else(|| format!("crash '{val}': expected NODE@ATxDOWN"))?;
                     plan.crashes.push(CrashFault {
                         node: parse_num(node, "crash node")?,
-                        at: SimTime::from_secs(parse_num(at, "crash at")?),
-                        down_for: Duration::from_secs(parse_num(down, "crash down")?),
+                        at: SimTime::from_millis(parse_millis(at, 1000, "crash at")?),
+                        down_for: Duration::from_millis(parse_millis(down, 1000, "crash down")?),
                     });
                 }
                 "stall" => {
@@ -336,11 +338,11 @@ impl FaultPlan {
                         .split_once('x')
                         .ok_or_else(|| format!("stall '{val}': expected ATxDUR"))?;
                     plan.cn_stalls.push(CnStall {
-                        at: SimTime::from_secs(parse_num(at, "stall at")?),
-                        stall_for: Duration::from_secs(parse_num(dur, "stall dur")?),
+                        at: SimTime::from_millis(parse_millis(at, 1000, "stall at")?),
+                        stall_for: Duration::from_millis(parse_millis(dur, 1000, "stall dur")?),
                     });
                 }
-                "delay" => plan.link.delay = Duration::from_millis(parse_num(val, "delay")?),
+                "delay" => plan.link.delay = Duration::from_millis(parse_millis(val, 1, "delay")?),
                 "loss" => {
                     let pm: u64 = parse_num(val, "loss")?;
                     if pm > 1000 {
@@ -349,7 +351,8 @@ impl FaultPlan {
                     plan.link.loss_per_mille = pm as u32;
                 }
                 "redeliver" => {
-                    plan.link.redeliver_after = Duration::from_millis(parse_num(val, "redeliver")?)
+                    plan.link.redeliver_after =
+                        Duration::from_millis(parse_millis(val, 1, "redeliver")?)
                 }
                 "retry" => {
                     let mut it = val.splitn(3, ':');
@@ -357,8 +360,8 @@ impl FaultPlan {
                         return Err(format!("retry '{val}': expected BASE:MAX:N"));
                     };
                     plan.retry = RetryPolicy {
-                        base_delay: Duration::from_millis(parse_num(b, "retry base")?),
-                        max_delay: Duration::from_millis(parse_num(m, "retry max")?),
+                        base_delay: Duration::from_millis(parse_millis(b, 1, "retry base")?),
+                        max_delay: Duration::from_millis(parse_millis(m, 1, "retry max")?),
                         max_attempts: parse_num::<u32>(n, "retry attempts")?,
                     };
                     if plan.retry.max_attempts == 0 {
@@ -372,8 +375,8 @@ impl FaultPlan {
                         other => return Err(format!("mode '{other}': expected reroute|hold")),
                     }
                 }
-                "mtbf" => plan.mtbf = Some(Duration::from_secs(parse_num(val, "mtbf")?)),
-                "mttr" => plan.mttr = Duration::from_secs(parse_num(val, "mttr")?),
+                "mtbf" => plan.mtbf = Some(Duration::from_millis(parse_millis(val, 1000, "mtbf")?)),
+                "mttr" => plan.mttr = Duration::from_millis(parse_millis(val, 1000, "mttr")?),
                 "seed" => plan.seed = parse_num(val, "seed")?,
                 other => return Err(format!("unknown fault directive '{other}'")),
             }
@@ -396,6 +399,21 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.trim()
         .parse::<T>()
         .map_err(|_| format!("{what}: could not parse '{s}'"))
+}
+
+/// Largest time or span a plan may give, in milliseconds (about 31
+/// years): far past any horizon, and small enough that the simulator's
+/// millisecond clock cannot overflow when it adds one to the current
+/// time.
+pub const MAX_PLAN_MILLIS: u64 = 1_000_000_000_000;
+
+/// Parse a count of `unit_ms`-millisecond units into milliseconds,
+/// refusing values above [`MAX_PLAN_MILLIS`].
+fn parse_millis(s: &str, unit_ms: u64, what: &str) -> Result<u64, String> {
+    parse_num::<u64>(s, what)?
+        .checked_mul(unit_ms)
+        .filter(|&ms| ms <= MAX_PLAN_MILLIS)
+        .ok_or_else(|| format!("{what}: '{s}' is above {MAX_PLAN_MILLIS} ms"))
 }
 
 #[cfg(test)]
@@ -448,6 +466,24 @@ mod tests {
         assert!(FaultPlan::parse("retry=1:2:0").is_err());
         assert!(FaultPlan::parse("mode=sideways").is_err());
         assert!(FaultPlan::parse("frobnicate=1").is_err());
+    }
+
+    /// A time past the millisecond clock's range is an `Err`, not an
+    /// overflow panic (`mtbf=18446744073709552` was the fuzzer's first
+    /// find).
+    #[test]
+    fn parse_refuses_times_past_the_clock() {
+        assert!(FaultPlan::parse("mtbf=18446744073709552").is_err());
+        assert!(FaultPlan::parse("crash=1@18446744073709552x1").is_err());
+        assert!(FaultPlan::parse("stall=1x1000000001").is_err());
+        assert!(FaultPlan::parse("delay=1000000000001").is_err());
+        assert!(FaultPlan::parse("retry=1:18446744073709551615:1").is_err());
+        let p = FaultPlan::parse("crash=0@1000000000x1000000000,redeliver=1000000000000").unwrap();
+        assert_eq!(p.crashes[0].at, SimTime::from_millis(MAX_PLAN_MILLIS));
+        assert_eq!(
+            p.link.redeliver_after,
+            Duration::from_millis(MAX_PLAN_MILLIS)
+        );
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! * **Phase 0** (admission): a new transaction may start only if the
 //!   WTPG stays *chain-form* — the conflict graph remains a disjoint
-//!   union of simple paths. Costs `toptime` per test.
+//!   union of simple paths. Its conflict set is read from the declarer
+//!   rows of its lock set. Costs `toptime` per test.
 //! * **Phase 1**: a request conflicting with a held lock is blocked.
 //! * **Phase 2**: compute the full serializable order `W` minimizing the
-//!   WTPG critical path (the chain dynamic program). Costs `chaintime`.
+//!   WTPG critical path ([`chain::min_critical`], run from scratch on
+//!   each call: chain form keeps the graph small). Costs `chaintime`.
 //! * **Phase 3**: granting the request implies orientations `Ti → Tj`
 //!   toward every live conflicting declarer of the file; the request is
 //!   granted only if those orientations are consistent with an optimal
@@ -31,9 +33,6 @@ pub struct Gow {
     top_time: Duration,
     /// Admission refusals due to the chain-form constraint (statistic).
     chain_refusals: u64,
-    /// Incremental chain critical-path engine: only chains touched since
-    /// the previous decision re-run the Pareto DP.
-    engine: chain::ChainEngine,
     /// Scratch: conflict set collected during the chain-form test.
     conflicts_buf: Vec<TxnId>,
     /// Scratch: implied orientations of the current request.
@@ -57,6 +56,17 @@ impl Gow {
     }
 }
 
+/// The live transactions whose declarations conflict with `id`'s, read
+/// from the declarer rows of `id`'s lock set (the rule
+/// [`WtpgCore::add_live`] uses). `out` is cleared first and may hold
+/// duplicates; [`chain::accepts_new_txn`] deduplicates.
+fn admission_conflicts_into(core: &WtpgCore, id: TxnId, out: &mut Vec<TxnId>) {
+    out.clear();
+    for (file, mode) in core.spec(id).lock_set() {
+        out.extend(core.conflicting_declarers_iter(id, file, mode));
+    }
+}
+
 impl Scheduler for Gow {
     fn name(&self) -> &'static str {
         "GOW"
@@ -68,19 +78,8 @@ impl Scheduler for Gow {
 
     fn try_start(&mut self, id: TxnId) -> Outcome<StartDecision> {
         // Phase 0: chain-form test against the would-be conflict set.
-        let conflicts = &mut self.conflicts_buf;
-        conflicts.clear();
-        {
-            let core = &self.core;
-            let spec = core.spec(id);
-            conflicts.extend(
-                core.graph
-                    .txns()
-                    .filter(|&other| other != id)
-                    .filter(|&other| bds_workload::conflict::conflicts(spec, core.spec(other))),
-            );
-        }
-        if !chain::accepts_new_txn(&self.core.graph, conflicts) {
+        admission_conflicts_into(&self.core, id, &mut self.conflicts_buf);
+        if !chain::accepts_new_txn(&self.core.graph, &self.conflicts_buf) {
             self.chain_refusals += 1;
             return Outcome::costed(StartDecision::Refuse, self.top_time).because("chain-form");
         }
@@ -105,14 +104,13 @@ impl Scheduler for Gow {
             return Outcome::free(ReqDecision::Granted);
         }
         // Phase 2: the globally optimal order's critical path…
-        let optimal = self.engine.min_critical(&mut self.core.graph, &[]);
+        let optimal = chain::min_critical(&self.core.graph, &[]);
         // Phase 3: …must still be achievable with the grant's
         // orientations forced.
         let forced = if adverse {
             f64::INFINITY
         } else {
-            self.engine
-                .min_critical(&mut self.core.graph, &self.orient_buf)
+            chain::min_critical(&self.core.graph, &self.orient_buf)
         };
         if forced > optimal + 1e-9 {
             let reason = if adverse {
@@ -286,6 +284,69 @@ mod tests {
         s.commit(t(2));
         let cs = s.drain_constraints();
         assert!(bds_wtpg::oracle::is_serializable(&cs), "{cs:?}");
+    }
+
+    /// The declarer-row conflict set equals a scan of every live
+    /// transaction with `conflict::conflicts`, on random shared/exclusive
+    /// declarations through admissions, refusals and commits.
+    #[test]
+    fn admission_conflicts_match_all_live_scan() {
+        use bds_workload::spec::LockMode;
+        let (mut admissions, mut refusals, mut nonempty) = (0, 0, 0);
+        for case in 0..96u64 {
+            let mut r = bds_des::rng::Xoshiro256::seed_from_u64(0x60E ^ case);
+            let mut s = gow();
+            let n = 16u64;
+            for i in 0..n {
+                let steps = (0..1 + r.next_index(3))
+                    .map(|_| {
+                        let file = f(r.next_range(8) as u32);
+                        if r.next_range(2) == 0 {
+                            Step::read(file, LockMode::Shared, 1.0)
+                        } else {
+                            w(file, 1.0)
+                        }
+                    })
+                    .collect();
+                s.register(t(i), BatchSpec::new(steps));
+            }
+            let mut committed = vec![false; n as usize];
+            let mut rows = Vec::new();
+            for _ in 0..80 {
+                let i = r.next_range(n);
+                let id = t(i);
+                if committed[i as usize] {
+                    continue;
+                }
+                if s.core.is_live(id) {
+                    s.commit(id);
+                    committed[i as usize] = true;
+                    continue;
+                }
+                let spec = s.core.spec(id);
+                let scan: Vec<TxnId> = s
+                    .core
+                    .graph
+                    .txns()
+                    .filter(|&o| bds_workload::conflict::conflicts(spec, s.core.spec(o)))
+                    .collect();
+                admission_conflicts_into(&s.core, id, &mut rows);
+                rows.sort_unstable();
+                rows.dedup();
+                assert_eq!(rows, scan, "case {case} {id:?}");
+                nonempty += usize::from(!scan.is_empty());
+                let expect = chain::accepts_new_txn(&s.core.graph, &scan);
+                match s.try_start(id).decision {
+                    StartDecision::Admit => admissions += 1,
+                    StartDecision::Refuse => refusals += 1,
+                }
+                assert_eq!(s.core.is_live(id), expect, "case {case} {id:?}");
+            }
+        }
+        assert!(
+            admissions > 100 && refusals > 100 && nonempty > 100,
+            "{admissions} / {refusals} / {nonempty}"
+        );
     }
 
     #[test]

@@ -8,8 +8,13 @@
 //! computed in polynomial time (the paper cites `O(n²)`); we use a Pareto
 //! dynamic program over the chain (validated against exhaustive
 //! enumeration in [`crate::oracle`]).
+//!
+//! [`min_critical`] re-derives the chains and re-runs the program on
+//! every call. Chain form keeps GOW's graph small (at the Fig. 8 hot
+//! point it holds at most 13 live transactions), so a from-scratch
+//! answer costs far less than the `chaintime` the model charges for it.
 
-use crate::graph::{Direction, EdgeState, GraphEvent, PairKey, TxnId, Wtpg};
+use crate::graph::{Direction, EdgeState, PairKey, TxnId, Wtpg};
 
 /// Is the conflict graph a disjoint union of simple paths?
 ///
@@ -354,298 +359,6 @@ fn pareto_prune(mut states: Vec<State>) -> Vec<State> {
     out
 }
 
-/// One maintained path component of a chain-form WTPG.
-#[derive(Debug, Default)]
-struct ChainSlot {
-    /// Path order, canonicalized so `nodes[0]` is the smaller-id endpoint
-    /// — exactly the orientation [`chains`] produces, which keeps the DP's
-    /// floating-point folds bit-identical to a from-scratch run.
-    nodes: Vec<TxnId>,
-    /// `chain_min(g, &nodes, &[])` as of the last refresh.
-    cached: f64,
-    /// Graph mutations touched this chain since the cache was computed.
-    dirty: bool,
-    /// Dead slots park on the free list with their `nodes` capacity.
-    live: bool,
-}
-
-/// Incremental chain critical-path engine for GOW.
-///
-/// Consumes the graph's structural event log ([`Wtpg`] records adds,
-/// removes, new links, and weight/state touches) to maintain the chain
-/// decomposition across decisions, so [`ChainEngine::min_critical`] only
-/// re-runs the DP on chains that changed since the last call instead of
-/// re-deriving `chains()` and every chain's optimum from scratch.
-///
-/// Invariants (checked against the from-scratch path by the property
-/// tests in `tests/prop_incremental.rs`):
-/// * every live transaction is in exactly one live chain, in path order,
-///   oriented from its smaller-id endpoint;
-/// * `cached` equals `chain_min(g, &nodes, &[])` whenever `dirty` is
-///   false;
-/// * any event sequence the engine cannot replay incrementally (log
-///   overflow, a link that violates chain form) falls back to a full
-///   [`chains`]-based rebuild.
-#[derive(Debug, Default)]
-pub struct ChainEngine {
-    chains: Vec<ChainSlot>,
-    free: Vec<u32>,
-    /// Sorted `TxnId → chain index` map.
-    chain_of: Vec<(TxnId, u32)>,
-    /// Reusable event-drain buffer.
-    events: Vec<GraphEvent>,
-    /// False until the first rebuild, or after an unreplayable event.
-    valid: bool,
-}
-
-impl ChainEngine {
-    /// New engine; the first `min_critical` call builds the decomposition.
-    pub fn new() -> Self {
-        ChainEngine::default()
-    }
-
-    fn chain_idx(&self, t: TxnId) -> Option<u32> {
-        self.chain_of
-            .binary_search_by_key(&t, |&(id, _)| id)
-            .ok()
-            .map(|i| self.chain_of[i].1)
-    }
-
-    fn map_insert(&mut self, t: TxnId, ci: u32) {
-        match self.chain_of.binary_search_by_key(&t, |&(id, _)| id) {
-            Ok(i) => self.chain_of[i].1 = ci,
-            Err(i) => self.chain_of.insert(i, (t, ci)),
-        }
-    }
-
-    fn map_remove(&mut self, t: TxnId) -> Option<u32> {
-        match self.chain_of.binary_search_by_key(&t, |&(id, _)| id) {
-            Ok(i) => Some(self.chain_of.remove(i).1),
-            Err(_) => None,
-        }
-    }
-
-    fn alloc(&mut self) -> u32 {
-        match self.free.pop() {
-            Some(ci) => {
-                let c = &mut self.chains[ci as usize];
-                debug_assert!(c.nodes.is_empty());
-                c.cached = 0.0;
-                c.dirty = true;
-                c.live = true;
-                ci
-            }
-            None => {
-                self.chains.push(ChainSlot {
-                    nodes: Vec::new(),
-                    cached: 0.0,
-                    dirty: true,
-                    live: true,
-                });
-                (self.chains.len() - 1) as u32
-            }
-        }
-    }
-
-    fn free_chain(&mut self, ci: u32) {
-        let c = &mut self.chains[ci as usize];
-        c.live = false;
-        c.nodes.clear();
-        self.free.push(ci);
-    }
-
-    /// Orient a path from its smaller-id endpoint (the [`chains`] order).
-    fn canon(nodes: &mut [TxnId]) {
-        if nodes.len() > 1 && nodes[0] > *nodes.last().unwrap() {
-            nodes.reverse();
-        }
-    }
-
-    fn apply(&mut self, event: GraphEvent) {
-        match event {
-            GraphEvent::Added(t) => {
-                let ci = self.alloc();
-                self.chains[ci as usize].nodes.push(t);
-                self.map_insert(t, ci);
-            }
-            GraphEvent::Removed(t) => {
-                let Some(ci) = self.map_remove(t) else {
-                    self.valid = false;
-                    return;
-                };
-                let mut nodes = std::mem::take(&mut self.chains[ci as usize].nodes);
-                let Some(pos) = nodes.iter().position(|&x| x == t) else {
-                    self.valid = false;
-                    return;
-                };
-                let mut right = nodes.split_off(pos + 1);
-                nodes.pop();
-                match (nodes.is_empty(), right.is_empty()) {
-                    (true, true) => {
-                        self.chains[ci as usize].nodes = nodes; // keep capacity
-                        self.free_chain(ci);
-                    }
-                    (false, true) => {
-                        Self::canon(&mut nodes);
-                        let c = &mut self.chains[ci as usize];
-                        c.nodes = nodes;
-                        c.dirty = true;
-                    }
-                    (true, false) => {
-                        Self::canon(&mut right);
-                        let c = &mut self.chains[ci as usize];
-                        c.nodes = right;
-                        c.dirty = true;
-                    }
-                    (false, false) => {
-                        Self::canon(&mut nodes);
-                        Self::canon(&mut right);
-                        let cj = self.alloc();
-                        for &n in &right {
-                            self.map_insert(n, cj);
-                        }
-                        self.chains[cj as usize].nodes = right;
-                        let c = &mut self.chains[ci as usize];
-                        c.nodes = nodes;
-                        c.dirty = true;
-                    }
-                }
-            }
-            GraphEvent::Linked(a, b) => {
-                let (Some(ca), Some(cb)) = (self.chain_idx(a), self.chain_idx(b)) else {
-                    self.valid = false;
-                    return;
-                };
-                if ca == cb {
-                    // Link inside one component closes a cycle: no longer
-                    // chain form. Rebuild (and let `chains()` panic).
-                    self.valid = false;
-                    return;
-                }
-                let mut na = std::mem::take(&mut self.chains[ca as usize].nodes);
-                let mut nb = std::mem::take(&mut self.chains[cb as usize].nodes);
-                let a_endpoint = na.first() == Some(&a) || na.last() == Some(&a);
-                let b_endpoint = nb.first() == Some(&b) || nb.last() == Some(&b);
-                if !a_endpoint || !b_endpoint {
-                    // Interior link means degree ≥ 3 somewhere: not chain
-                    // form; fall back to a rebuild.
-                    self.valid = false;
-                    return;
-                }
-                if na.last() != Some(&a) {
-                    na.reverse();
-                }
-                if nb.first() != Some(&b) {
-                    nb.reverse();
-                }
-                na.extend_from_slice(&nb);
-                Self::canon(&mut na);
-                for &n in &na {
-                    self.map_insert(n, ca);
-                }
-                let c = &mut self.chains[ca as usize];
-                c.nodes = na;
-                c.dirty = true;
-                self.chains[cb as usize].nodes = nb; // keep capacity pooled
-                self.free_chain(cb);
-            }
-            GraphEvent::Touched(t) => match self.chain_idx(t) {
-                Some(ci) => self.chains[ci as usize].dirty = true,
-                None => self.valid = false,
-            },
-        }
-    }
-
-    /// Drain the graph's event log and bring the decomposition up to
-    /// date, falling back to a full rebuild when the log overflowed or an
-    /// event cannot be replayed.
-    fn sync(&mut self, g: &mut Wtpg) {
-        let mut events = std::mem::take(&mut self.events);
-        if g.take_events(&mut events) {
-            self.valid = false;
-        }
-        if self.valid {
-            for &ev in &events {
-                self.apply(ev);
-                if !self.valid {
-                    break;
-                }
-            }
-        }
-        self.events = events;
-        if !self.valid {
-            self.rebuild(g);
-        }
-    }
-
-    fn rebuild(&mut self, g: &Wtpg) {
-        self.chains.clear();
-        self.free.clear();
-        self.chain_of.clear();
-        for nodes in chains(g) {
-            let ci = self.chains.len() as u32;
-            for &t in &nodes {
-                self.chain_of.push((t, ci));
-            }
-            self.chains.push(ChainSlot {
-                nodes,
-                cached: 0.0,
-                dirty: true,
-                live: true,
-            });
-        }
-        self.chain_of.sort_unstable_by_key(|&(t, _)| t);
-        self.valid = true;
-    }
-
-    /// Incremental equivalent of [`min_critical`]: identical result
-    /// (bit-for-bit), but the DP only re-runs on chains whose nodes,
-    /// weights, or edge states changed since the previous call, plus —
-    /// uncached — the chains containing a `forced` pair.
-    ///
-    /// # Panics
-    /// Panics if the graph is not chain-form, or a forced pair has no
-    /// edge.
-    pub fn min_critical(&mut self, g: &mut Wtpg, forced: &[(TxnId, TxnId)]) -> f64 {
-        for &(a, b) in forced {
-            assert!(
-                g.edge(a, b).is_some(),
-                "forced pair ({a:?},{b:?}) has no edge"
-            );
-        }
-        self.sync(g);
-        for ci in 0..self.chains.len() {
-            if !self.chains[ci].live || !self.chains[ci].dirty {
-                continue;
-            }
-            let v = chain_min(g, &self.chains[ci].nodes, &[]);
-            let c = &mut self.chains[ci];
-            c.cached = v;
-            c.dirty = false;
-        }
-        let mut worst: f64 = 0.0;
-        for (ci, c) in self.chains.iter().enumerate() {
-            if !c.live {
-                continue;
-            }
-            let affected = !forced.is_empty()
-                && forced
-                    .iter()
-                    .any(|&(a, _)| self.chain_idx(a) == Some(ci as u32));
-            let v = if affected {
-                chain_min(g, &c.nodes, forced)
-            } else {
-                c.cached
-            };
-            worst = worst.max(v);
-            if worst.is_infinite() {
-                return f64::INFINITY;
-            }
-        }
-        worst
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -803,51 +516,6 @@ mod tests {
             let forced = min_critical(&g, &[w]);
             assert!(forced >= free);
         }
-    }
-
-    #[test]
-    fn engine_tracks_graph_evolution() {
-        let mut g = Wtpg::new();
-        let mut engine = ChainEngine::new();
-        assert_eq!(engine.min_critical(&mut g, &[]), 0.0);
-        // grow two chains, bridge them, decide edges, remove interiors —
-        // after every step the engine must agree with the from-scratch DP
-        let check = |g: &mut Wtpg, engine: &mut ChainEngine| {
-            let scratch = min_critical(g, &[]);
-            let fast = engine.min_critical(g, &[]);
-            assert_eq!(fast.to_bits(), scratch.to_bits());
-        };
-        g.add_txn(t(1), 2.0);
-        check(&mut g, &mut engine);
-        g.add_txn(t(2), 4.0);
-        g.declare_conflict(t(1), t(2), 3.0, 6.0);
-        check(&mut g, &mut engine);
-        g.add_txn(t(4), 1.0);
-        g.add_txn(t(3), 5.0);
-        g.declare_conflict(t(3), t(4), 7.0, 3.0);
-        check(&mut g, &mut engine);
-        // bridge: 1-2-3-4 (t2 and t3 are endpoints)
-        g.declare_conflict(t(2), t(3), 2.0, 2.0);
-        check(&mut g, &mut engine);
-        // forced orientations on top of the maintained decomposition
-        for pair in [(t(1), t(2)), (t(2), t(1)), (t(3), t(2))] {
-            let scratch = min_critical(&g, &[pair]);
-            let fast = engine.min_critical(&mut g, &[pair]);
-            assert_eq!(fast.to_bits(), scratch.to_bits());
-        }
-        g.set_precedence(t(2), t(3));
-        check(&mut g, &mut engine);
-        g.set_t0_weight(t(4), 9.0);
-        check(&mut g, &mut engine);
-        // splitting removals: interior then endpoint then singleton
-        g.remove_txn(t(2));
-        check(&mut g, &mut engine);
-        g.remove_txn(t(4));
-        check(&mut g, &mut engine);
-        g.remove_txn(t(3));
-        g.remove_txn(t(1));
-        check(&mut g, &mut engine);
-        assert!(g.is_empty());
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! of simulation points.
 //! Storage is therefore a dense slot arena rather than the original
 //! `BTreeMap` design: a sorted `TxnId → u32` slot map with free-list
-//! reuse, and per-slot inline adjacency arrays ([`crate::smallvec`])
-//! that carry the pair edge on *both* endpoints so directed traversal
-//! never does a map lookup.
+//! reuse, and per-slot id-sorted adjacency `Vec`s that carry the pair
+//! edge on *both* endpoints so directed traversal never does a map
+//! lookup. The dense slot numbers also index the traversal scratch of
+//! [`crate::paths`] (marks, distances, closure rows) and the positions
+//! of [`crate::paths::TopoOrder`].
 //!
 //! Determinism contract: every iterator this module exposes yields
 //! exactly the order the `BTreeMap`-backed implementation did — `txns()`
@@ -21,7 +23,6 @@
 //! simulator stays bit-for-bit reproducible (pinned by the golden-hash
 //! test in `tests/parallel_determinism.rs`).
 
-use crate::smallvec::SmallVec;
 use std::fmt;
 
 /// Identifier of a (general) transaction node in the WTPG.
@@ -203,12 +204,12 @@ impl Adj {
     }
 }
 
-/// Arena slot: node data plus inline adjacency.
+/// Arena slot: node data plus id-sorted adjacency.
 #[derive(Debug, Default)]
 struct Slot {
     id: TxnId,
     node: Node,
-    adj: SmallVec<Adj, 4>,
+    adj: Vec<Adj>,
 }
 
 impl Clone for Slot {
@@ -227,25 +228,6 @@ impl Clone for Slot {
     }
 }
 
-/// Structural-change event consumed by [`crate::chain::ChainEngine`] for
-/// incremental chain maintenance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GraphEvent {
-    /// A new node appeared (as its own singleton chain).
-    Added(TxnId),
-    /// A node and all its edges were removed (splits its chain).
-    Removed(TxnId),
-    /// A brand-new pair edge joined two previously unlinked nodes.
-    Linked(TxnId, TxnId),
-    /// Weights or edge state changed without altering chain membership.
-    Touched(TxnId),
-}
-
-/// Past this many undrained events the log overflows: it is cleared and
-/// consumers fall back to a full rebuild. Bounds log growth for graphs
-/// that no engine is attached to (LOW/C2PL/NODC/OPT).
-const EVENT_CAP: usize = 256;
-
 /// The weighted transaction-precedence graph.
 #[derive(Debug, Default)]
 pub struct Wtpg {
@@ -255,10 +237,6 @@ pub struct Wtpg {
     slots: Vec<Slot>,
     /// Free (dead) slot numbers.
     free: Vec<u32>,
-    /// Pending structural events since the last `take_events`.
-    events: Vec<GraphEvent>,
-    /// Set when the log hit `EVENT_CAP`; consumers must full-rebuild.
-    events_overflowed: bool,
 }
 
 impl Clone for Wtpg {
@@ -267,26 +245,21 @@ impl Clone for Wtpg {
             index: self.index.clone(),
             slots: self.slots.clone(),
             free: self.free.clone(),
-            events: self.events.clone(),
-            events_overflowed: self.events_overflowed,
         }
     }
 
     /// Allocation-reusing copy for trial-grant evaluation
     /// ([`crate::eq::eval_grant_with`]): slot and adjacency buffers of
-    /// `self` are retained. The destination's event log is reset rather
-    /// than copied — trial graphs never drive an incremental engine.
+    /// `self` are retained.
     fn clone_from(&mut self, source: &Self) {
         self.index.clone_from(&source.index);
         self.slots.clone_from(&source.slots);
         self.free.clone_from(&source.free);
-        self.events.clear();
-        self.events_overflowed = false;
     }
 }
 
 /// Semantic equality: same transactions, weights, and pair edges.
-/// Arena slot numbers, free lists, and pending events are ignored.
+/// Arena slot numbers and free lists are ignored.
 impl PartialEq for Wtpg {
     fn eq(&self, other: &Self) -> bool {
         if self.index.len() != other.index.len() {
@@ -392,12 +365,12 @@ impl Wtpg {
     }
 
     pub(crate) fn slot_adj(&self, s: u32) -> &[Adj] {
-        self.slots[s as usize].adj.as_slice()
+        &self.slots[s as usize].adj
     }
 
     fn adj_of(&self, t: TxnId) -> &[Adj] {
         match self.lookup(t) {
-            Some(s) => self.slots[s as usize].adj.as_slice(),
+            Some(s) => &self.slots[s as usize].adj,
             None => &[],
         }
     }
@@ -405,35 +378,9 @@ impl Wtpg {
     /// Locate the adjacency entry for `b` on `a`'s side.
     fn adj_pos(&self, a: TxnId, b: TxnId) -> Option<(u32, usize)> {
         let sa = self.lookup(a)?;
-        let adj = self.slots[sa as usize].adj.as_slice();
+        let adj = &self.slots[sa as usize].adj;
         let i = adj.binary_search_by_key(&b, |x| x.id).ok()?;
         Some((sa, i))
-    }
-
-    fn log(&mut self, e: GraphEvent) {
-        if self.events_overflowed {
-            return;
-        }
-        if self.events.len() >= EVENT_CAP {
-            self.events.clear();
-            self.events_overflowed = true;
-            return;
-        }
-        self.events.push(e);
-    }
-
-    /// Drain pending structural events into `out` (cleared first).
-    /// Returns `true` if the log overflowed since the last drain, in
-    /// which case `out` is empty and the consumer must rebuild.
-    pub(crate) fn take_events(&mut self, out: &mut Vec<GraphEvent>) -> bool {
-        out.clear();
-        let overflowed = self.events_overflowed;
-        if !overflowed {
-            out.extend_from_slice(&self.events);
-        }
-        self.events.clear();
-        self.events_overflowed = false;
-        overflowed
     }
 
     // ---- public mutation API ----------------------------------------
@@ -465,13 +412,12 @@ impl Wtpg {
                 self.slots.push(Slot {
                     id: t,
                     node: Node { t0_weight },
-                    adj: SmallVec::new(),
+                    adj: Vec::new(),
                 });
                 (self.slots.len() - 1) as u32
             }
         };
         self.index.insert(pos, (t, s));
-        self.log(GraphEvent::Added(t));
     }
 
     /// Remove a transaction (on commit or abort) together with all its
@@ -485,10 +431,9 @@ impl Wtpg {
             .unwrap_or_else(|_| panic!("remove of unknown transaction"));
         let s = self.index[pos].1;
         for i in 0..self.slots[s as usize].adj.len() {
-            let a = self.slots[s as usize].adj.as_slice()[i];
+            let a = self.slots[s as usize].adj[i];
             let nadj = &mut self.slots[a.slot as usize].adj;
             let j = nadj
-                .as_slice()
                 .binary_search_by_key(&t, |x| x.id)
                 .expect("reciprocal adjacency missing");
             nadj.remove(j);
@@ -496,7 +441,6 @@ impl Wtpg {
         self.slots[s as usize].adj.clear();
         self.index.remove(pos);
         self.free.push(s);
-        self.log(GraphEvent::Removed(t));
     }
 
     /// Current `T0 → t` weight (remaining I/O demand).
@@ -517,7 +461,6 @@ impl Wtpg {
             .lookup(t)
             .unwrap_or_else(|| panic!("unknown transaction {t:?}"));
         self.slots[s as usize].node.t0_weight = w;
-        self.log(GraphEvent::Touched(t));
     }
 
     /// Declare a conflict between `a` and `b` with directed weights
@@ -544,19 +487,18 @@ impl Wtpg {
         let (Some(sa), Some(sb)) = (self.lookup(a), self.lookup(b)) else {
             panic!("unknown endpoint");
         };
-        match adj_search(self.slots[sa as usize].adj.as_slice(), b) {
+        match adj_search(&self.slots[sa as usize].adj, b) {
             Ok(i) => {
-                let state = self.slots[sa as usize].adj.as_slice()[i].edge.state;
+                let state = self.slots[sa as usize].adj[i].edge.state;
                 let edge = PairEdge {
                     w_lo_hi,
                     w_hi_lo,
                     state,
                 };
-                self.slots[sa as usize].adj.as_mut_slice()[i].edge = edge;
-                let j = adj_search(self.slots[sb as usize].adj.as_slice(), a)
+                self.slots[sa as usize].adj[i].edge = edge;
+                let j = adj_search(&self.slots[sb as usize].adj, a)
                     .expect("reciprocal adjacency missing");
-                self.slots[sb as usize].adj.as_mut_slice()[j].edge = edge;
-                self.log(GraphEvent::Touched(a));
+                self.slots[sb as usize].adj[j].edge = edge;
             }
             Err(i) => {
                 let edge = PairEdge {
@@ -572,8 +514,8 @@ impl Wtpg {
                         edge,
                     },
                 );
-                let j = adj_search(self.slots[sb as usize].adj.as_slice(), a)
-                    .expect_err("one-sided adjacency");
+                let j =
+                    adj_search(&self.slots[sb as usize].adj, a).expect_err("one-sided adjacency");
                 self.slots[sb as usize].adj.insert(
                     j,
                     Adj {
@@ -582,7 +524,6 @@ impl Wtpg {
                         edge,
                     },
                 );
-                self.log(GraphEvent::Linked(a, b));
             }
         }
     }
@@ -591,7 +532,7 @@ impl Wtpg {
     pub fn edge(&self, a: TxnId, b: TxnId) -> Option<&PairEdge> {
         assert!(a != b, "self-conflict on {a:?}");
         let (s, i) = self.adj_pos(a, b)?;
-        Some(&self.slots[s as usize].adj.as_slice()[i].edge)
+        Some(&self.slots[s as usize].adj[i].edge)
     }
 
     /// Pair-neighbors of `t` (conflict or precedence), ascending by id.
@@ -624,18 +565,14 @@ impl Wtpg {
         let (sf, i) = self
             .adj_pos(from, to)
             .unwrap_or_else(|| panic!("no edge between {from:?} and {to:?}"));
-        let entry = self.slots[sf as usize].adj.as_slice()[i];
+        let entry = self.slots[sf as usize].adj[i];
         match entry.edge.state {
             EdgeState::Conflict => {
-                self.slots[sf as usize].adj.as_mut_slice()[i].edge.state =
-                    EdgeState::Precedence(dir);
+                self.slots[sf as usize].adj[i].edge.state = EdgeState::Precedence(dir);
                 let (_, j) = self
                     .adj_pos(to, from)
                     .expect("reciprocal adjacency missing");
-                self.slots[entry.slot as usize].adj.as_mut_slice()[j]
-                    .edge
-                    .state = EdgeState::Precedence(dir);
-                self.log(GraphEvent::Touched(from));
+                self.slots[entry.slot as usize].adj[j].edge.state = EdgeState::Precedence(dir);
                 true
             }
             EdgeState::Precedence(d) if d == dir => false,
@@ -649,7 +586,7 @@ impl Wtpg {
     pub fn is_decided(&self, from: TxnId, to: TxnId) -> bool {
         assert!(from != to, "self-conflict on {from:?}");
         match self.adj_pos(from, to) {
-            Some((s, i)) => self.slots[s as usize].adj.as_slice()[i].owner_precedes(from),
+            Some((s, i)) => self.slots[s as usize].adj[i].owner_precedes(from),
             None => false,
         }
     }
@@ -884,22 +821,6 @@ mod tests {
         }
         assert_eq!(g.slots.len(), cap, "freed slots must be reused");
         assert_eq!(g.len(), 8);
-    }
-
-    #[test]
-    fn event_log_overflow_requests_rebuild() {
-        let mut g = Wtpg::new();
-        g.add_txn(t(0), 1.0);
-        for _ in 0..(EVENT_CAP + 10) {
-            g.set_t0_weight(t(0), 2.0);
-        }
-        let mut out = vec![GraphEvent::Added(t(99))];
-        assert!(g.take_events(&mut out), "overflow must be reported");
-        assert!(out.is_empty(), "overflowed log yields no events");
-        // after a drain the log records again
-        g.set_t0_weight(t(0), 3.0);
-        assert!(!g.take_events(&mut out));
-        assert_eq!(out, vec![GraphEvent::Touched(t(0))]);
     }
 
     #[test]

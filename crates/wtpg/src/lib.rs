@@ -37,6 +37,5 @@ pub mod eq;
 pub mod graph;
 pub mod oracle;
 pub mod paths;
-pub mod smallvec;
 
 pub use graph::{Direction, EdgeState, TxnId, Wtpg};

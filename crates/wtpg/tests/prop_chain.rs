@@ -1,15 +1,22 @@
 //! Randomized property tests: the GOW chain dynamic program must agree
-//! with exhaustive enumeration of full serializable orders, and the
-//! path algorithms must satisfy their structural invariants. Inputs come
-//! from a fixed-seed SplitMix64 stream (the crate is dependency-free),
-//! so the suite is deterministic.
+//! with exhaustive enumeration of full serializable orders, the path
+//! algorithms must satisfy their structural invariants, and the
+//! scratch-buffer variants of the path/E(q) routines must agree with
+//! their allocating counterparts. Inputs come from a fixed-seed
+//! SplitMix64 stream (the crate is dependency-free), so the suite is
+//! deterministic.
 
 use bds_wtpg::chain::{chains, is_chain_form, min_critical};
+use bds_wtpg::eq::{eval_grant, eval_grant_with, EqScratch};
+use bds_wtpg::graph::PairKey;
 use bds_wtpg::oracle::min_critical_bruteforce;
-use bds_wtpg::paths::{critical_path, distances, has_cycle, propagate, reachable};
+use bds_wtpg::paths::{self, critical_path, distances, has_cycle, propagate, reachable};
 use bds_wtpg::{TxnId, Wtpg};
 
 const CASES: u64 = 256;
+
+/// Case count of the scratch-reuse tests.
+const SCRATCH_CASES: u64 = 128;
 
 /// Minimal deterministic RNG (SplitMix64) for test-input generation.
 struct Rng(u64);
@@ -240,6 +247,119 @@ fn chains_partition_nodes() {
             for w in c.windows(2) {
                 assert!(g.edge(w[0], w[1]).is_some());
             }
+        }
+    }
+}
+
+fn undecided_pairs(g: &Wtpg) -> Vec<PairKey> {
+    g.edges()
+        .filter(|(k, e)| e.decided(*k).is_none())
+        .map(|(k, _)| k)
+        .collect()
+}
+
+/// A random general (not chain-form) graph whose decided subgraph is
+/// acyclic: edges appear with probability ~1/3 and are oriented — when
+/// decided — along ascending id, i.e. along a topological order.
+fn gen_general(r: &mut Rng, decide_prob_in_4: usize) -> (Wtpg, usize) {
+    let n = 3 + r.next_index(8);
+    let mut g = Wtpg::new();
+    for i in 0..n {
+        g.add_txn(t(i as u64), r.next_f64() * 10.0);
+    }
+    for i in 0..n {
+        for j in i + 1..n {
+            if r.next_index(3) == 0 {
+                let (a, b) = (t(i as u64), t(j as u64));
+                g.declare_conflict(a, b, r.next_f64() * 10.0, r.next_f64() * 10.0);
+                if r.next_index(4) < decide_prob_in_4 {
+                    g.set_precedence(a, b);
+                }
+            }
+        }
+    }
+    (g, n)
+}
+
+/// `eval_grant_with` (reused trial graph + reachability probes) must
+/// return the exact same E-value as the allocating `eval_grant` on
+/// LOW-shaped inputs: a grantee's undecided conflicts oriented away
+/// from it, on top of an acyclic decided subgraph.
+#[test]
+fn eval_grant_with_matches_allocating_eval() {
+    let mut scratch = EqScratch::new();
+    for case in 0..SCRATCH_CASES {
+        let mut r = Rng::new(case, 13);
+        let (g, n) = gen_general(&mut r, 2);
+        let who = t(r.next_index(n) as u64);
+        let mut orientations: Vec<(TxnId, TxnId)> = undecided_pairs(&g)
+            .into_iter()
+            .filter(|k| k.lo == who || k.hi == who)
+            .map(|k| (who, k.other(who)))
+            .collect();
+        orientations.truncate(1 + r.next_index(3));
+        let alloc = eval_grant(&g, &orientations);
+        let reused = eval_grant_with(&mut scratch, &g, &orientations);
+        assert_eq!(
+            alloc.to_bits(),
+            reused.to_bits(),
+            "case {case}: eval_grant={alloc} eval_grant_with={reused}"
+        );
+    }
+}
+
+/// The reusable `paths::Scratch` traversals must agree with the free
+/// functions on arbitrary (possibly cyclic) precedence graphs, with one
+/// scratch instance reused across every case to surface stale state.
+#[test]
+fn scratch_traversals_match_free_functions() {
+    let mut ps = paths::Scratch::new();
+    for case in 0..SCRATCH_CASES {
+        let mut r = Rng::new(case, 14);
+        let n = 3 + r.next_index(8);
+        let mut g = Wtpg::new();
+        for i in 0..n {
+            g.add_txn(t(i as u64), r.next_f64() * 10.0);
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                if r.next_index(3) == 0 {
+                    let (a, b) = (t(i as u64), t(j as u64));
+                    g.declare_conflict(a, b, r.next_f64() * 10.0, r.next_f64() * 10.0);
+                    // Random direction: cycles are possible and wanted.
+                    match r.next_index(3) {
+                        0 => {
+                            g.set_precedence(a, b);
+                        }
+                        1 => {
+                            g.set_precedence(b, a);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert_eq!(ps.has_cycle(&g), has_cycle(&g), "case {case}");
+        for _ in 0..10 {
+            let a = t(r.next_index(n) as u64);
+            let b = t(r.next_index(n) as u64);
+            if a == b {
+                continue;
+            }
+            assert_eq!(
+                ps.reachable(&g, a, b),
+                reachable(&g, a, b),
+                "case {case}: {a:?} ⇝ {b:?}"
+            );
+        }
+        let mut g_free = g.clone();
+        let mut g_scratch = g.clone();
+        let res_free = propagate(&mut g_free);
+        let res_scratch = ps.propagate(&mut g_scratch);
+        match (res_free, res_scratch) {
+            (Ok(()), Ok(())) => assert!(g_free == g_scratch, "case {case}: graphs diverge"),
+            (Err(a), Err(b)) => assert_eq!(a.pair, b.pair, "case {case}"),
+            (a, b) => panic!("case {case}: propagate outcomes diverge: {a:?} vs {b:?}"),
         }
     }
 }

@@ -16,6 +16,7 @@ use batchsched::config::{SimConfig, WorkloadKind};
 use batchsched::des::rng::Xoshiro256;
 use batchsched::des::Duration;
 use batchsched::engine::Engine;
+use batchsched::fault::FaultPlan;
 use batchsched::sched::SchedulerKind;
 use harness::{case_config, check_case, random_plan};
 
@@ -158,4 +159,151 @@ fn chaos_runs_are_deterministic() {
             );
         }
     }
+}
+
+/// Fault plans written elsewhere in the tree (CI, README, examples,
+/// perfbench and the test suites): the fuzzer's seed corpus.
+const PLAN_CORPUS: &[&str] = &[
+    "crash=1@40x20,mtbf=120,mttr=15,retry=1000:8000:4",
+    "mtbf=120,mttr=15,retry=1000:8000:4",
+    "crash=1@40x20,mtbf=60,mttr=15,retry=500:2000:1,seed=3",
+    "crash=1@20x10,crash=4@50x15,retry=1000:8000:4",
+    "crash=0@100x10",
+    "crash=2@6x8,retry=500:2000:3",
+    "crash=1@40x20,crash=5@110x15,delay=4,loss=50,redeliver=350,stall=70x6,retry=800:6400:3",
+    "crash=2@100x30,stall=50x5,delay=3,loss=25,redeliver=500,retry=1000:30000:4,mode=hold,seed=9",
+    "mtbf=90,mttr=12,stall=60x5,retry=500:4000:2,seed=5",
+    "delay=5,loss=60,redeliver=400,stall=50x5,stall=150x10,crash=3@100x20",
+    "crash=2@60x40,mode=hold,retry=2000:16000:6",
+    "crash=0@60x20,crash=1@60x20,crash=2@60x20,crash=3@60x20,stall=61x2,retry=1000:8000:1",
+    "loss=10",
+    "",
+];
+
+/// Mutants made by the `FaultPlan::parse` fuzzer.
+const PLAN_MUTANTS: usize = 12_000;
+/// How many of the mutants that parse are also run in an engine.
+const PLAN_RUNS: usize = 200;
+
+/// One random edit of a plan string: a character replaced, inserted or
+/// deleted, a digit run swapped for an edge-case number, a directive
+/// duplicated or spliced in from another corpus plan, or a key renamed.
+fn mutate_plan(plan: &mut Vec<char>, rng: &mut Xoshiro256) {
+    const ALPHABET: &[char] = &[
+        '0', '1', '9', ',', '=', '@', 'x', ':', '-', '+', '.', ' ', 'e', 'a', 'z', '\u{0}', 'é',
+    ];
+    const NUMBERS: &[&str] = &[
+        "0",
+        "1",
+        "1000",
+        "-1",
+        "+7",
+        "1e3",
+        "4294967295",
+        "4294967296",
+        "18446744073709551",
+        "18446744073709552",
+        "18446744073709551615",
+        "18446744073709551616",
+    ];
+    const KEYS: &[&str] = &[
+        "crash",
+        "stall",
+        "delay",
+        "loss",
+        "redeliver",
+        "retry",
+        "mode",
+        "mtbf",
+        "mttr",
+        "seed",
+    ];
+    let pos = rng.next_index(plan.len() + 1);
+    match rng.next_range(7) {
+        0 if pos < plan.len() => plan[pos] = ALPHABET[rng.next_index(ALPHABET.len())],
+        1 => plan.insert(pos, ALPHABET[rng.next_index(ALPHABET.len())]),
+        2 if pos < plan.len() => {
+            plan.remove(pos);
+        }
+        3 => {
+            let digits: Vec<usize> = (0..plan.len())
+                .filter(|&i| plan[i].is_ascii_digit() && (i == 0 || !plan[i - 1].is_ascii_digit()))
+                .collect();
+            if let Some(&start) = digits.get(rng.next_index(digits.len().max(1))) {
+                let end = (start..plan.len())
+                    .find(|&i| !plan[i].is_ascii_digit())
+                    .unwrap_or(plan.len());
+                let n = NUMBERS[rng.next_index(NUMBERS.len())];
+                plan.splice(start..end, n.chars());
+            }
+        }
+        4 => {
+            let donor = PLAN_CORPUS[rng.next_index(PLAN_CORPUS.len())];
+            let parts: Vec<&str> = donor.split(',').collect();
+            let part = parts[rng.next_index(parts.len())];
+            plan.push(',');
+            plan.extend(part.chars());
+        }
+        5 => {
+            let text: String = plan.iter().collect();
+            let parts: Vec<&str> = text.split(',').collect();
+            let part = parts[rng.next_index(parts.len())].to_string();
+            plan.push(',');
+            plan.extend(part.chars());
+        }
+        _ => {
+            let text: String = plan.iter().collect();
+            let mut parts: Vec<String> = text.split(',').map(str::to_string).collect();
+            let i = rng.next_index(parts.len());
+            if let Some((_, val)) = parts[i].split_once('=') {
+                parts[i] = format!("{}={val}", KEYS[rng.next_index(KEYS.len())]);
+            }
+            *plan = parts.join(",").chars().collect();
+        }
+    }
+}
+
+/// Seeded `FaultPlan::parse` fuzzer: every mutant of the corpus returns
+/// `Ok` or `Err` without a panic, and the first plans that parse, run
+/// under a configuration `SimConfig::validate` accepts, drive a LOW
+/// engine to a short horizon without a panic.
+#[test]
+fn fault_plan_parse_mutants_never_panic() {
+    let mut rng = Xoshiro256::seed_from_u64(0xFA17_9A25);
+    let (mut parsed, mut runs) = (0usize, 0usize);
+    for i in 0..PLAN_MUTANTS {
+        let mut plan: Vec<char> = PLAN_CORPUS[i % PLAN_CORPUS.len()].chars().collect();
+        for _ in 0..1 + rng.next_range(4) {
+            mutate_plan(&mut plan, &mut rng);
+        }
+        let text: String = plan.iter().collect();
+        let parsed_plan = std::panic::catch_unwind(|| FaultPlan::parse(&text))
+            .unwrap_or_else(|_| panic!("mutant {i}: FaultPlan::parse panicked on {text:?}"));
+        let Ok(faults) = parsed_plan else {
+            continue;
+        };
+        parsed += 1;
+        if runs == PLAN_RUNS {
+            continue;
+        }
+        let mut c = SimConfig::new(SchedulerKind::Low(2), WorkloadKind::Exp1 { num_files: 16 });
+        c.seed = i as u64;
+        c.lambda_tps = 0.6;
+        c.horizon = Duration::from_secs(150);
+        let c = c.with_faults(faults);
+        if c.validate().is_err() {
+            continue;
+        }
+        runs += 1;
+        let run = std::panic::catch_unwind(|| {
+            let mut sim = Engine::new(&c);
+            sim.run_to_horizon();
+            sim.report()
+        });
+        assert!(run.is_ok(), "mutant {i}: engine panicked under {text:?}");
+    }
+    assert!(
+        parsed > PLAN_MUTANTS / 10 && runs == PLAN_RUNS,
+        "{parsed} parsed, {runs} run"
+    );
 }
