@@ -99,14 +99,23 @@ fn serve_tcp(addr: &str, session: &mut Session) {
     }
 }
 
-/// Pump requests until EOF or `quit`; returns true on `quit`.
-fn serve_stream(reader: impl BufRead, mut writer: impl Write, session: &mut Session) -> bool {
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+/// Pump requests until EOF or `quit`; returns true on `quit`. A line
+/// that is not UTF-8 is refused like any other bad request.
+fn serve_stream(mut reader: impl BufRead, mut writer: impl Write, session: &mut Session) -> bool {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        let (reply, quit) = session.handle_line(&line, &mut writer);
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let (reply, quit) = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => session.handle_line(line, &mut writer),
+            Err(_) => (err("request is not valid UTF-8"), false),
+        };
         if writeln!(writer, "{reply}")
             .and_then(|()| writer.flush())
             .is_err()

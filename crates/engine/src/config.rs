@@ -38,6 +38,10 @@ pub enum WorkloadKind {
     },
 }
 
+/// Largest file count a workload may declare. Schedulers and the engine
+/// keep a row per file id, so the count bounds their memory.
+pub const MAX_FILES: u32 = 1 << 16;
+
 impl WorkloadKind {
     /// Number of files in the database.
     pub fn num_files(&self) -> u32 {
@@ -48,9 +52,10 @@ impl WorkloadKind {
         }
     }
 
-    /// Check that [`WorkloadKind::build`] can build this workload: the
-    /// patterns need as many distinct files as they have slots (two for
-    /// Experiments 1 and 3), and σ must be finite and non-negative.
+    /// Check that [`WorkloadKind::build`] can build this workload and the
+    /// engine can run it: the patterns need as many distinct files as
+    /// they have slots (two for Experiments 1 and 3), there are at most
+    /// [`MAX_FILES`] files, and σ must be finite and non-negative.
     pub fn validate(&self) -> Result<(), String> {
         let (files, slots) = match self {
             WorkloadKind::Exp1 { num_files } => (*num_files, 2),
@@ -66,6 +71,12 @@ impl WorkloadKind {
         if (files as usize) < slots {
             return Err(format!(
                 "file count {files} too small: the pattern needs {slots} distinct files"
+            ));
+        }
+        if files > MAX_FILES {
+            return Err(format!(
+                "file count {files} too large: lock and declaration tables hold a row \
+                 per file, so at most {MAX_FILES}"
             ));
         }
         Ok(())

@@ -11,9 +11,8 @@
 //!    whole lock set; GOW tests chain form at `toptime`; LOW checks the
 //!    K-conflict bound). Admitted transactions pay `sot_time` on the CN.
 //! 3. **Steps**: each step needing a new lock submits a request; the
-//!    scheduler grants (→ execute), blocks (→ wait for the file's locks
-//!    to be released) or delays (→ wait for a state change / retry
-//!    tick). Execution sends the transaction to the file's home node
+//!    scheduler grants (→ execute), blocks or delays (→ wait, see
+//!    below). Execution sends the transaction to the file's home node
 //!    (one CN message), splits it into `DD` cohorts served round-robin
 //!    at the DPNs, and returns (one CN message).
 //! 4. **Commit**: `cot_time` on the CN (two-phase-commit coordination);
@@ -24,6 +23,27 @@
 //! decisions take effect at the event that issued them (the CPU time
 //! defers only the transaction's own progress), which keeps the
 //! simulation deterministic.
+//!
+//! ## Retries and standing refusals
+//!
+//! A refused lock request waits in `pending`. It is re-submitted when a
+//! commit or abort touches its step's file, and every pending request,
+//! blocked or delayed, is re-submitted on each retry tick
+//! (`retry_delay`, 1 s). Each re-submission counts as a lock request,
+//! is traced, and pays the scheduler's CPU charge again. The start
+//! queue is re-probed in FIFO order after each arrival, commit, abort
+//! and tick.
+//!
+//! A scheduler may mark a refusal as standing until a holder or
+//! declarer of one file leaves the live set
+//! ([`Outcome::until_release`]). The engine stamps each file with a
+//! departure count whenever such a transaction commits, aborts or is
+//! forgotten, and keeps a standing refusal with the count at which it
+//! was known to hold. While the file has seen no departure since, a
+//! retry or re-probe takes the kept outcome instead of calling the
+//! scheduler, and handles it on the same path as an evaluated one: the
+//! same counters, trace records, CN charge and retry arming, so the run
+//! is byte-identical to one that asks every time.
 //!
 //! ## Driving the loop
 //!
@@ -60,7 +80,7 @@ use bds_fault::{DegradedMode, FaultAction};
 use bds_machine::{Cohort, CohortId, Dpn, Placement};
 use bds_metrics::{LogHistogram, Sampler, TimeSeries};
 use bds_obs::{ObsReport, Phase as ObsPhase, Profiler};
-use bds_sched::{ReqDecision, Scheduler, SchedulerKind, StartDecision};
+use bds_sched::{Outcome, ReqDecision, Scheduler, SchedulerKind, StartDecision};
 use bds_trace::{EventKind, Rec, TraceData, Tracer};
 use bds_workload::arrivals::PoissonArrivals;
 use bds_workload::gen::WorkloadGen;
@@ -139,6 +159,56 @@ enum WaitKind {
     Delayed,
 }
 
+/// A refusal that stands (see [`Outcome::until_release`]), kept with
+/// the departure count at which it was known to hold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Standing<D> {
+    at: u64,
+    outcome: Outcome<D>,
+}
+
+impl<D: Copy> Standing<D> {
+    /// Keep `outcome` if it stands, as of `departures`.
+    fn keep(outcome: Outcome<D>, departures: &Departures) -> Option<Self> {
+        outcome.until_release.map(|_| Standing {
+            at: departures.count,
+            outcome,
+        })
+    }
+}
+
+/// Departures from the scheduler's live set (commits, aborts, forgets),
+/// counted, with the count at which each file last saw one of its
+/// holders or declarers leave.
+#[derive(Debug, Default)]
+struct Departures {
+    count: u64,
+    /// Per file id: `count` at the file's last departure (0 = never).
+    last: Vec<u64>,
+}
+
+impl Departures {
+    /// Record one departure touching `files`.
+    fn leave(&mut self, files: impl IntoIterator<Item = FileId>) {
+        self.count += 1;
+        for file in files {
+            let i = file.0 as usize;
+            if i >= self.last.len() {
+                self.last.resize(i + 1, 0);
+            }
+            self.last[i] = self.count;
+        }
+    }
+
+    /// The kept outcome, if no departure touched its file since it was
+    /// kept.
+    fn replay<D: Copy>(&self, standing: Option<Standing<D>>) -> Option<Outcome<D>> {
+        let s = standing?;
+        let file = s.outcome.until_release?.0 as usize;
+        (self.last.get(file).copied().unwrap_or(0) <= s.at).then_some(s.outcome)
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct PendingReq {
     /// Submission sequence number; the `pending` vec is kept in
@@ -148,7 +218,26 @@ struct PendingReq {
     step: usize,
     file: FileId,
     kind: WaitKind,
+    /// Due for re-submission at the next sweep.
     eligible: bool,
+    /// Eligible when the current sweep began: the sweep re-submits it.
+    swept: bool,
+    /// The last refusal, when it stands.
+    standing: Option<Standing<ReqDecision>>,
+}
+
+/// A transaction waiting in the start queue.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Queued {
+    id: TxnId,
+    /// The last admission refusal, when it stands.
+    standing: Option<Standing<StartDecision>>,
+}
+
+impl Queued {
+    fn new(id: TxnId) -> Self {
+        Queued { id, standing: None }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -175,7 +264,7 @@ pub struct Engine {
     /// In-flight transactions. Never iterated on the hot path, so the
     /// unordered table is determinism-safe (the scheduler swap sorts).
     txns: HashMap<TxnId, Txn, IdHash>,
-    start_queue: VecDeque<TxnId>,
+    start_queue: VecDeque<Queued>,
     /// Blocked/delayed lock requests in ascending `seq` order (inserts
     /// always append — `next_seq` is monotone — and removals preserve
     /// order), so retry sweeps visit requests in submission order.
@@ -226,8 +315,9 @@ pub struct Engine {
     retry_hist: LogHistogram,
     /// Reused buffer for released/touched files at commit and abort.
     released_buf: Vec<FileId>,
-    /// Reused buffer for eligible pending-request sequence numbers.
-    eligible_buf: Vec<u64>,
+    /// Departures from the live set, per file: a kept refusal is
+    /// replayed while its file has seen none since.
+    departures: Departures,
     /// Lifecycle tracer. Lives on the engine, **not** on `SimConfig`:
     /// the report must stay a pure function of the configuration
     /// (`cache_key` hashes the config), and tracing must never perturb
@@ -379,7 +469,7 @@ impl Engine {
             killed: 0,
             retry_hist: LogHistogram::new(),
             released_buf: Vec::new(),
-            eligible_buf: Vec::new(),
+            departures: Departures::default(),
             tracer: Tracer::Off,
             rt_log: LogHistogram::new(),
             metrics: Sampler::Off,
@@ -822,6 +912,17 @@ impl Engine {
         self.custom_scheduler = true;
         self.label = scheduler.name().to_string();
         self.scheduler = scheduler;
+        self.forget_standing();
+    }
+
+    /// Drop every kept refusal: they describe the previous scheduler.
+    fn forget_standing(&mut self) {
+        for p in &mut self.pending {
+            p.standing = None;
+        }
+        for q in &mut self.start_queue {
+            q.standing = None;
+        }
     }
 
     /// Drain the precedence constraints the scheduler observed — used by
@@ -842,18 +943,6 @@ impl Engine {
     /// Panics if `id` is not in flight.
     fn txn(&self, id: TxnId) -> &Txn {
         self.txns.get(&id).expect("unknown txn")
-    }
-
-    /// Position of a pending request by its submission seq.
-    fn pending_pos(&self, seq: u64) -> Option<usize> {
-        self.pending.binary_search_by_key(&seq, |p| p.seq).ok()
-    }
-
-    /// Drop a pending request by seq (no-op when already gone).
-    fn remove_pending(&mut self, seq: u64) {
-        if let Some(i) = self.pending_pos(seq) {
-            self.pending.remove(i);
-        }
     }
 
     /// Enqueue CN work, tracing the busy span `[begin, end]` when the
@@ -910,7 +999,7 @@ impl Engine {
                     at: now,
                     kind: EventKind::Restart { txn: id },
                 });
-                self.start_queue.push_back(id);
+                self.start_queue.push_back(Queued::new(id));
                 self.try_admissions();
             }
             Event::Fault { action } => self.on_fault(action),
@@ -952,7 +1041,7 @@ impl Engine {
             at: now,
             kind: EventKind::Arrival { txn: id },
         });
-        self.start_queue.push_back(id);
+        self.start_queue.push_back(Queued::new(id));
         id
     }
 
@@ -992,6 +1081,12 @@ impl Engine {
         }
     }
 
+    /// Probe the start queue in FIFO order until the MPL cap is reached,
+    /// the queue ends, or `admission_scan_limit` costed refusals were
+    /// charged. A queued transaction whose last refusal stands (see
+    /// [`Outcome::until_release`]) is refused again from that outcome
+    /// without asking the scheduler; the charge, the record and the
+    /// scan-limit count are the same as for an evaluated refusal.
     fn try_admissions(&mut self) {
         if self.admission_hold {
             return;
@@ -1003,10 +1098,16 @@ impl Engine {
             if !self.mpl_room() {
                 break;
             }
-            let id = self.start_queue[i];
-            let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
-            let outcome = self.scheduler.try_start(id);
-            self.obs.phase_end(tok);
+            let Queued { id, standing } = self.start_queue[i];
+            let outcome = match self.departures.replay(standing) {
+                Some(kept) => kept,
+                None => {
+                    let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
+                    let outcome = self.scheduler.try_start(id);
+                    self.obs.phase_end(tok);
+                    outcome
+                }
+            };
             if !outcome.cpu.is_zero() {
                 self.cn_work(now, outcome.cpu, Some(id), "sched");
                 costed_tests += 1;
@@ -1036,6 +1137,7 @@ impl Engine {
                     );
                 }
                 StartDecision::Refuse => {
+                    self.start_queue[i].standing = Standing::keep(outcome, &self.departures);
                     let reason = outcome.reason.unwrap_or("refused");
                     self.tracer.emit(|| Rec {
                         at: now,
@@ -1079,9 +1181,12 @@ impl Engine {
         }
     }
 
-    /// Submit (or retry, when `pending_seq` is given) a lock request.
-    /// Returns true if the request was granted.
-    fn submit_request(&mut self, id: TxnId, step: usize, pending_seq: Option<u64>) -> bool {
+    /// Submit a lock request, or retry the one at `pending[at]`. A retry
+    /// whose last refusal stands (see [`Outcome::until_release`]) is
+    /// refused again from that outcome without asking the scheduler; it
+    /// counts, records and charges exactly as an evaluated refusal.
+    /// Returns true if the scheduler was asked.
+    fn submit_request(&mut self, id: TxnId, step: usize, at: Option<usize>) -> bool {
         let now = self.now();
         self.lock_requests += 1;
         let file = self.txn(id).spec.steps[step].file;
@@ -1093,9 +1198,17 @@ impl Engine {
                 file,
             },
         });
-        let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
-        let outcome = self.scheduler.request(id, step);
-        self.obs.phase_end(tok);
+        let kept = at.and_then(|i| self.departures.replay(self.pending[i].standing));
+        let evaluated = kept.is_none();
+        let outcome = match kept {
+            Some(kept) => kept,
+            None => {
+                let tok = self.obs.phase_start(ObsPhase::SchedulerDecide);
+                let outcome = self.scheduler.request(id, step);
+                self.obs.phase_end(tok);
+                outcome
+            }
+        };
         match outcome.decision {
             ReqDecision::Granted => {
                 self.tracer.emit(|| Rec {
@@ -1107,8 +1220,8 @@ impl Engine {
                     },
                 });
                 self.trace_edges();
-                if let Some(seq) = pending_seq {
-                    self.remove_pending(seq);
+                if let Some(i) = at {
+                    self.pending.remove(i);
                 }
                 let done = self.cn_work(
                     now,
@@ -1123,7 +1236,6 @@ impl Engine {
                         phase: Phase::Dispatch { step },
                     },
                 );
-                true
             }
             ReqDecision::Restart => {
                 let reason = outcome.reason.unwrap_or("restart");
@@ -1139,11 +1251,10 @@ impl Engine {
                 if !outcome.cpu.is_zero() {
                     self.cn_work(now, outcome.cpu, Some(id), "sched");
                 }
-                if let Some(seq) = pending_seq {
-                    self.remove_pending(seq);
+                if let Some(i) = at {
+                    self.pending.remove(i);
                 }
                 self.abort_txn(id, AbortCause::Scheduler);
-                false
             }
             ReqDecision::Blocked | ReqDecision::Delayed => {
                 if !outcome.cpu.is_zero() {
@@ -1176,12 +1287,13 @@ impl Engine {
                         },
                     },
                 });
-                match pending_seq {
-                    Some(seq) => {
-                        let i = self.pending_pos(seq).expect("pending vanished");
+                let standing = Standing::keep(outcome, &self.departures);
+                match at {
+                    Some(i) => {
                         let p = &mut self.pending[i];
                         p.kind = kind;
                         p.eligible = false;
+                        p.standing = standing;
                     }
                     None => {
                         let seq = self.next_seq;
@@ -1195,13 +1307,15 @@ impl Engine {
                             file,
                             kind,
                             eligible: false,
+                            swept: false,
+                            standing,
                         });
                     }
                 }
                 self.arm_retry_tick();
-                false
             }
         }
+        evaluated
     }
 
     fn dispatch_step(&mut self, id: TxnId, step: usize) {
@@ -1443,6 +1557,7 @@ impl Engine {
             touched.extend(txn.spec.steps.iter().map(|s| s.file));
             touched.sort_unstable();
             touched.dedup();
+            self.departures.leave(touched.iter().copied());
             self.wake_waiters(&touched);
             self.released_buf = touched;
             self.sweep_retries();
@@ -1491,6 +1606,9 @@ impl Engine {
             self.scheduler.abort_into(id, &mut released);
         }
         self.obs.phase_end(tok);
+        let declared = self.txns[&id].spec.steps.iter().map(|s| s.file);
+        self.departures
+            .leave(released.iter().copied().chain(declared));
         self.live.add(now, -1.0);
         let had_cohorts = {
             let txn = self.txns.get_mut(&id).expect("abort of unknown txn");
@@ -1604,10 +1722,11 @@ impl Engine {
     // ----- retries -----------------------------------------------------
 
     /// Mark pending requests eligible: those (blocked or delayed) whose
-    /// file's contention state just changed. Delayed requests on
-    /// unrelated files are re-submitted by the retry tick instead —
-    /// waking every delayed request on every commit would melt the CN
-    /// under C2PL's hundreds of live transactions.
+    /// step's file's contention state just changed. Requests on other
+    /// files (BROOK's, blocked on a prefix file, among them) are
+    /// re-submitted by the retry tick instead — waking every pending
+    /// request on every commit would melt the CN under C2PL's hundreds
+    /// of live transactions.
     fn wake_waiters(&mut self, touched: &[FileId]) {
         for p in &mut self.pending {
             if touched.contains(&p.file) {
@@ -1619,24 +1738,35 @@ impl Engine {
         }
     }
 
+    /// Re-submit, in submission order, every pending request that was
+    /// eligible when the sweep began. Requests that become eligible
+    /// during the sweep wait for the next one. A replayed refusal leaves
+    /// `pending` as it was, so the cursor just moves on; after an
+    /// evaluation (a grant or a restart removes the request) the cursor
+    /// finds its place again by `seq`.
     fn sweep_retries(&mut self) {
-        let mut eligible = std::mem::take(&mut self.eligible_buf);
-        eligible.clear();
-        eligible.extend(self.pending.iter().filter(|p| p.eligible).map(|p| p.seq));
-        for &seq in &eligible {
-            // A retry earlier in this sweep may have removed (or
-            // restarted) this request; look it up fresh each time.
-            let (id, step) = match self.pending_pos(seq) {
-                Some(i) => {
-                    let p = &mut self.pending[i];
-                    p.eligible = false;
-                    (p.id, p.step)
-                }
-                None => continue,
-            };
-            self.submit_request(id, step, Some(seq));
+        for p in &mut self.pending {
+            p.swept = p.eligible;
         }
-        self.eligible_buf = eligible;
+        let mut i = 0;
+        while i < self.pending.len() {
+            let p = &mut self.pending[i];
+            if !p.swept {
+                i += 1;
+                continue;
+            }
+            p.swept = false;
+            p.eligible = false;
+            let (seq, id, step) = (p.seq, p.id, p.step);
+            if self.submit_request(id, step, Some(i)) {
+                i = match self.pending.binary_search_by_key(&seq, |p| p.seq) {
+                    Ok(j) => j + 1,
+                    Err(j) => j,
+                };
+            } else {
+                i += 1;
+            }
+        }
     }
 
     fn arm_retry_tick(&mut self) {
@@ -1647,6 +1777,8 @@ impl Engine {
         }
     }
 
+    /// The retry tick: every pending request is re-submitted (a standing
+    /// refusal is replayed), then the start queue is re-probed.
     fn on_retry_tick(&mut self) {
         self.retry_tick_armed = false;
         for p in &mut self.pending {
@@ -1698,6 +1830,7 @@ impl Engine {
             sched.register(id, txn.spec.clone());
         }
         self.scheduler = sched;
+        self.forget_standing();
         self.label = kind.label();
         // Keep cfg.scheduler in sync so `cache_key` (and snapshots
         // taken after the swap) describe the engine actually running.

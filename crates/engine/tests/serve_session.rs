@@ -298,6 +298,11 @@ fn configure_refuses_bad_input_and_stays_up() {
         (r#"{"cmd":"configure","metrics_dt_ms":0}"#, "metrics_dt_ms"),
         (r#"{"cmd":"configure","profile":1}"#, "profile"),
         (r#"{"cmd":"configure","workload":"exp1:0"}"#, "file count"),
+        // Per-file tables are sized by the file count.
+        (
+            r#"{"cmd":"configure","workload":"exp1:4000000000"}"#,
+            "file count",
+        ),
         // The Experiment 1 pattern needs two distinct files; one used
         // to abort the server in the generator.
         (r#"{"cmd":"configure","workload":"exp1:1"}"#, "file count"),
@@ -677,4 +682,557 @@ fn step_replies_are_pinned() {
         "step wire format changed ({} reply bytes)",
         replies.len()
     );
+}
+
+/// Seeded NDJSON fuzzer: mutants of a corpus of `bds-serve` requests,
+/// each followed by a `status` probe. A mutant must get a well-formed
+/// reply (accepted or refused) and leave the server answering `status`;
+/// a live session must still conserve transactions. The server is
+/// respawned only after it dies. Mutants that would write files get
+/// paths in a temp directory, and every knob that scales work (horizon,
+/// run-until time, arrival rate, step count, trace size, sampling and
+/// watch intervals, the failure rate of a fault plan) is clamped, so
+/// the whole run stays within seconds.
+mod fuzz {
+    use bds_metrics::{parse, JsonValue};
+    use std::io::{BufRead, BufReader, Write};
+    use std::path::{Path, PathBuf};
+    use std::process::{Child, ChildStdin, Command, Stdio};
+    use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+    use std::time::Duration;
+
+    const SEED: u64 = 0x5E27_F022;
+    const MUTANTS: usize = 10_000;
+    /// Longest simulated time a mutant may ask for.
+    const MAX_SIM_MS: f64 = 600_000.0;
+    /// A reply slower than this counts as a hang.
+    const REPLY_TIMEOUT: Duration = Duration::from_secs(20);
+
+    /// The seed corpus, one request per line, sent as it is before the
+    /// mutants. Its first entry is the configure that once aborted the
+    /// server in the workload generator; the last ones stopped the
+    /// server before this fuzzer's fixes.
+    const CORPUS: &[&[u8]] = &[
+        br#"{"cmd":"configure","workload":"exp1:1"}"#,
+        br#"{"cmd":"configure","scheduler":"c2pl","lambda":1.1,"horizon_s":120,"seed":3}"#,
+        br#"{"cmd":"configure","scheduler":"gow","lambda":0.6,"horizon_s":300,"seed":7,"faults":"crash=2@80x15,retry=1000:8000:4"}"#,
+        br#"{"cmd":"configure","scheduler":"low","workload":"exp3:16:0.5","dd":4,"mpl":8,"horizon_s":200,"metrics_dt_ms":5000,"profile":true}"#,
+        br#"{"cmd":"configure","scheduler":"brook","workload":"exp2","horizon_s":150,"faults":"mtbf=60,mttr=10,delay=3,loss=25,redeliver=500,mode=hold,seed=9"}"#,
+        br#"{"cmd":"configure","scheduler":"wdl","lambda":1.1,"horizon_s":100,"seed":5,"faults":"stall=50x5"}"#,
+        br#"{"cmd":"configure","scheduler":"dgcc","horizon_s":200}"#,
+        br#"{"cmd":"configure","scheduler":"opt","horizon_s":200,"seed":11}"#,
+        br#"{"cmd":"configure","scheduler":"nodc","horizon_s":150,"workload":"exp1:64"}"#,
+        br#"{"cmd":"configure","scheduler":"asl","horizon_s":100,"lambda":0.9}"#,
+        br#"{"cmd":"submit","steps":[["r",3,1200.0],["w",7,600.0]]}"#,
+        br#"{"cmd":"submit","steps":[["rs",5,800.0,400.0]]}"#,
+        br#"{"cmd":"run-until","t_ms":60000}"#,
+        br#"{"cmd":"step","n":25}"#,
+        br#"{"cmd":"run"}"#,
+        br#"{"cmd":"snapshot","path":"a"}"#,
+        br#"{"cmd":"snapshot"}"#,
+        br#"{"cmd":"restore","path":"a"}"#,
+        br#"{"cmd":"swap-scheduler","scheduler":"asl"}"#,
+        br#"{"cmd":"metrics","format":"prom"}"#,
+        br#"{"cmd":"metrics","format":"csv"}"#,
+        br#"{"cmd":"metrics","format":"series-csv"}"#,
+        br#"{"cmd":"report"}"#,
+        br#"{"cmd":"trace","capacity":4096}"#,
+        br#"{"cmd":"trace","dump":"t"}"#,
+        br#"{"cmd":"watch","t_ms":90000,"interval_ms":5000,"max_deltas":4}"#,
+        br#"{"cmd":"status"}"#,
+        // A line that is not UTF-8 used to end the session.
+        b"{\"cmd\":\"st\xff\"}",
+        // Per-file tables are sized by the file count: a run under four
+        // billion files used to abort on a 75 GB allocation.
+        br#"{"cmd":"configure","workload":"exp1:4000000000","horizon_s":60}"#,
+        br#"{"cmd":"run"}"#,
+    ];
+
+    /// Values the structured mutations splice in.
+    const NUMBERS: &[&str] = &[
+        "0",
+        "1",
+        "-1",
+        "2",
+        "7",
+        "8",
+        "9",
+        "16",
+        "0.5",
+        "1.5",
+        "-0",
+        "1e-300",
+        "1e300",
+        "1e999",
+        "-1e999",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "9007199254740993",
+        "600000",
+        "65536",
+        "65537",
+        "4000000000",
+        "1e15",
+        "0.0001",
+    ];
+    const STRINGS: &[&str] = &[
+        "",
+        "configure",
+        "submit",
+        "run",
+        "run-until",
+        "step",
+        "snapshot",
+        "restore",
+        "swap-scheduler",
+        "metrics",
+        "report",
+        "trace",
+        "watch",
+        "status",
+        "nodc",
+        "asl",
+        "gow",
+        "low",
+        "c2pl",
+        "opt",
+        "wdl",
+        "dgcc",
+        "brook",
+        "C2PL",
+        "exp1:1",
+        "exp1:2",
+        "exp1:65536",
+        "exp1:65537",
+        "exp1:4000000000",
+        "exp2",
+        "exp3:2:0",
+        "exp3:16:1e308",
+        "exp3:16:inf",
+        "exp3:",
+        "exp1:",
+        "r",
+        "rs",
+        "w",
+        "x",
+        "prom",
+        "csv",
+        "series-csv",
+        "crash=0@1x1",
+        "crash=99@1x1",
+        "stall=0x0",
+        "loss=1000,redeliver=0",
+        "retry=0:0:0",
+        "retry=1:1:1",
+        "mode=hold",
+        "delay=0",
+        "mtbf=30,mttr=0",
+        "seed=18446744073709551615",
+        "crash=1@0x0,crash=1@0x0",
+        "\u{1F600}",
+        "\\",
+        "\"",
+    ];
+    const KEYS: &[&str] = &[
+        "cmd",
+        "scheduler",
+        "workload",
+        "lambda",
+        "dd",
+        "horizon_s",
+        "seed",
+        "mpl",
+        "faults",
+        "metrics_dt_ms",
+        "profile",
+        "steps",
+        "t_ms",
+        "n",
+        "path",
+        "format",
+        "capacity",
+        "dump",
+        "interval_ms",
+        "max_deltas",
+        "bogus",
+    ];
+
+    /// SplitMix64: a small seeded generator for test inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+
+        fn pick<'a, T: ?Sized>(&mut self, from: &[&'a T]) -> &'a T {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// Byte ranges `(start, end)` of literals in a request.
+    type Spans = Vec<(usize, usize)>;
+
+    /// Byte ranges of the number and string literals of a request.
+    fn tokens(line: &[u8]) -> (Spans, Spans) {
+        let (mut nums, mut strs) = (Vec::new(), Vec::new());
+        let mut i = 0;
+        while i < line.len() {
+            let c = line[i];
+            if c == b'"' {
+                let start = i;
+                i += 1;
+                while i < line.len() && line[i] != b'"' {
+                    i += if line[i] == b'\\' { 2 } else { 1 };
+                }
+                strs.push((start, (i + 1).min(line.len())));
+                i += 1;
+            } else if c == b'-' || c.is_ascii_digit() {
+                let start = i;
+                while i < line.len() && b"+-.eE0123456789".contains(&line[i]) {
+                    i += 1;
+                }
+                nums.push((start, i));
+            } else {
+                i += 1;
+            }
+        }
+        (nums, strs)
+    }
+
+    fn quoted(s: &str) -> Vec<u8> {
+        let mut out = Vec::from(&b"\""[..]);
+        for c in s.chars() {
+            match c {
+                '"' => out.extend_from_slice(b"\\\""),
+                '\\' => out.extend_from_slice(b"\\\\"),
+                c => out.extend_from_slice(c.to_string().as_bytes()),
+            }
+        }
+        out.push(b'"');
+        out
+    }
+
+    /// Apply one random mutation to `line`.
+    fn mutate(r: &mut Rng, line: &mut Vec<u8>) {
+        let (nums, strs) = tokens(line);
+        let at = r.below(line.len() + 1);
+        // Mostly structured edits, so most mutants still parse and reach
+        // a handler; a fifth are raw byte edits for the parser.
+        let op = [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 6, 7, 7, 7, 8][r.below(20)];
+        match op {
+            0 if !nums.is_empty() => {
+                let (a, b) = nums[r.below(nums.len())];
+                line.splice(a..b, r.pick(NUMBERS).bytes());
+            }
+            1 if !strs.is_empty() => {
+                let (a, b) = strs[r.below(strs.len())];
+                let with = if r.below(4) == 0 {
+                    r.pick(KEYS)
+                } else {
+                    r.pick(STRINGS)
+                };
+                line.splice(a..b, quoted(with));
+            }
+            2 if !line.is_empty() => {
+                line.remove(at.min(line.len() - 1));
+            }
+            3 => {
+                const ALPHABET: &[u8] = b"{}[]\",:.-+eE0123456789 trufalsn\\/x";
+                line.insert(at, ALPHABET[r.below(ALPHABET.len())]);
+            }
+            4 if !line.is_empty() => {
+                // Any byte but a newline, valid UTF-8 or not.
+                let b = (1 + r.below(255)) as u8;
+                let i = at.min(line.len() - 1);
+                line[i] = if b == b'\n' { b'\r' } else { b };
+            }
+            5 if !line.is_empty() => {
+                let a = r.below(line.len());
+                let b = (a + 1 + r.below(16)).min(line.len());
+                let span: Vec<u8> = line[a..b].to_vec();
+                let to = r.below(line.len() + 1);
+                line.splice(to..to, span);
+            }
+            6 => {
+                // Splice the tail of another corpus entry after a comma.
+                let other = r.pick(CORPUS);
+                let cut = line.iter().rposition(|&c| c == b',').unwrap_or(0);
+                let from = other.iter().position(|&c| c == b',').unwrap_or(0);
+                line.truncate(cut);
+                line.extend_from_slice(&other[from..]);
+            }
+            7 => {
+                // Add a key with a random value before the closing brace.
+                let key = r.pick(KEYS);
+                let val = if r.below(2) == 0 {
+                    r.pick(NUMBERS).to_string()
+                } else {
+                    String::from_utf8(quoted(r.pick(STRINGS))).expect("utf-8")
+                };
+                let end = line.iter().rposition(|&c| c == b'}').unwrap_or(line.len());
+                let add = format!(",\"{key}\":{val}");
+                line.splice(end..end, add.bytes());
+            }
+            _ => {
+                if let Some((a, b)) = strs.get(r.below(strs.len().max(1))).copied() {
+                    // Drop a key or value.
+                    line.drain(a..b);
+                }
+            }
+        }
+    }
+
+    fn write_json(v: &JsonValue, out: &mut String) {
+        match v {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Num(n) if n.is_infinite() => {
+                out.push_str(if *n > 0.0 { "1e999" } else { "-1e999" })
+            }
+            JsonValue::Num(n) => out.push_str(&format!("{n:?}")),
+            JsonValue::Str(s) => {
+                out.push('"');
+                for c in s.chars() {
+                    match c {
+                        '"' => out.push_str("\\\""),
+                        '\\' => out.push_str("\\\\"),
+                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                        c => out.push(c),
+                    }
+                }
+                out.push('"');
+            }
+            JsonValue::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_json(item, out);
+                }
+                out.push(']');
+            }
+            JsonValue::Obj(fields) => {
+                out.push('{');
+                for (i, (k, item)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_json(&JsonValue::Str(k.clone()), out);
+                    out.push(':');
+                    write_json(item, out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Raise every `mtbf=S` of a fault plan below 30 s to 30 s: a plan
+    /// that fails a node every millisecond is valid, but slow to run.
+    fn slow_failures(plan: &str) -> String {
+        plan.split(',')
+            .map(|d| match d.strip_prefix("mtbf=").map(str::parse::<u64>) {
+                Some(Ok(s)) if s < 30 => "mtbf=30".to_string(),
+                _ => d.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    /// Keep a parsed mutant within the run's budget: clamp the knobs that
+    /// scale work, point paths into `dir`, and never send `quit`.
+    fn sanitize(line: Vec<u8>, dir: &Path) -> Vec<u8> {
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return line;
+        };
+        let Ok(JsonValue::Obj(mut fields)) = parse(text) else {
+            return line;
+        };
+        let mut has_horizon = false;
+        let is_configure = fields
+            .iter()
+            .any(|(k, v)| k == "cmd" && v.as_str() == Some("configure"));
+        for (key, v) in &mut fields {
+            let clamp = |v: &mut JsonValue, lo: f64, hi: f64| {
+                if let JsonValue::Num(n) = v {
+                    if *n > hi {
+                        *n = hi;
+                    } else if *n > 0.0 && *n < lo {
+                        *n = lo;
+                    }
+                }
+            };
+            match key.as_str() {
+                "cmd" if v.as_str() == Some("quit") => *v = JsonValue::Str("status".into()),
+                "horizon_s" => {
+                    has_horizon = true;
+                    clamp(v, 0.0, MAX_SIM_MS / 1e3);
+                }
+                "t_ms" => clamp(v, 0.0, MAX_SIM_MS),
+                "lambda" => clamp(v, 0.0, 2.0),
+                "n" => clamp(v, 0.0, 2_000.0),
+                "capacity" => clamp(v, 0.0, 10_000.0),
+                "interval_ms" | "metrics_dt_ms" => clamp(v, 1_000.0, f64::MAX),
+                "faults" => {
+                    if let JsonValue::Str(plan) = v {
+                        *plan = slow_failures(plan);
+                    }
+                }
+                "path" | "dump" => {
+                    if let JsonValue::Str(p) = v {
+                        let name = format!("fuzz-{}.json", p.len() % 3);
+                        *p = dir.join(name).to_str().expect("utf-8 temp dir").into();
+                    }
+                }
+                _ => {}
+            }
+        }
+        if is_configure && !has_horizon {
+            fields.push(("horizon_s".into(), JsonValue::Num(120.0)));
+        }
+        let mut out = String::new();
+        write_json(&JsonValue::Obj(fields), &mut out);
+        out.into_bytes()
+    }
+
+    /// One `bds-serve` child with a reader thread, so a hang times out
+    /// instead of stalling the test.
+    struct Server {
+        child: Child,
+        stdin: ChildStdin,
+        lines: Receiver<String>,
+    }
+
+    impl Server {
+        fn spawn() -> Server {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_bds-serve"))
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .spawn()
+                .expect("spawn bds-serve");
+            let stdin = child.stdin.take().expect("stdin piped");
+            let stdout = BufReader::new(child.stdout.take().expect("stdout piped"));
+            let (tx, lines) = channel();
+            std::thread::spawn(move || {
+                for line in stdout.lines() {
+                    let Ok(line) = line else { break };
+                    if tx.send(line).is_err() {
+                        break;
+                    }
+                }
+            });
+            Server {
+                child,
+                stdin,
+                lines,
+            }
+        }
+
+        /// Send one request; return its final reply (skipping `watch`
+        /// stream lines), or why none came.
+        fn ask(&mut self, req: &[u8]) -> Result<JsonValue, String> {
+            let sent = self
+                .stdin
+                .write_all(req)
+                .and_then(|()| self.stdin.write_all(b"\n"))
+                .and_then(|()| self.stdin.flush());
+            if let Err(e) = sent {
+                return Err(format!("write failed: {e}"));
+            }
+            loop {
+                let line = match self.lines.recv_timeout(REPLY_TIMEOUT) {
+                    Ok(line) => line,
+                    Err(RecvTimeoutError::Timeout) => return Err("no reply (hang)".into()),
+                    Err(RecvTimeoutError::Disconnected) => return Err("server exited".into()),
+                };
+                let v = parse(&line).map_err(|e| format!("malformed reply {line:?}: {e}"))?;
+                if v.get("watch") == Some(&JsonValue::Bool(true)) {
+                    continue;
+                }
+                return match v.get("ok") {
+                    Some(JsonValue::Bool(_)) => Ok(v),
+                    _ => Err(format!("reply without ok: {line}")),
+                };
+            }
+        }
+    }
+
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+
+    /// The status probe after a request: an answer, and, when a session
+    /// is live, conserved transactions.
+    fn probe(s: &mut Server) -> Result<(), String> {
+        let v = s.ask(br#"{"cmd":"status"}"#)?;
+        if v.get("ok") == Some(&JsonValue::Bool(true))
+            && v.get("conserved") != Some(&JsonValue::Bool(true))
+        {
+            return Err(format!("status lost conservation: {v:?}"));
+        }
+        Ok(())
+    }
+
+    fn temp_dir() -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bds-serve-fuzz-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        dir
+    }
+
+    #[test]
+    fn ndjson_mutants_never_stop_the_server() {
+        let dir = temp_dir();
+        let mut r = Rng(SEED);
+        let mut server = Server::spawn();
+        let mut failures: Vec<String> = Vec::new();
+        let mut refused = 0usize;
+        let mut run = |server: &mut Server, req: Vec<u8>, failures: &mut Vec<String>| {
+            let shown = String::from_utf8_lossy(&req).into_owned();
+            let outcome = server.ask(&req).and_then(|v| {
+                if v.get("ok") == Some(&JsonValue::Bool(false)) {
+                    refused += 1;
+                }
+                probe(server)
+            });
+            if let Err(why) = outcome {
+                failures.push(format!("{shown} -> {why}"));
+                *server = Server::spawn();
+            }
+        };
+        // The corpus as it is, then the mutants.
+        for req in CORPUS {
+            run(&mut server, sanitize(req.to_vec(), &dir), &mut failures);
+        }
+        for _ in 0..MUTANTS {
+            let mut line = r.pick(CORPUS).to_vec();
+            for _ in 0..[1, 1, 1, 1, 1, 1, 1, 2, 2, 3][r.below(10)] {
+                mutate(&mut r, &mut line);
+            }
+            run(&mut server, sanitize(line, &dir), &mut failures);
+        }
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            failures.is_empty(),
+            "{} of {MUTANTS} mutants stopped the server; first ones:\n{}",
+            failures.len(),
+            failures[..failures.len().min(10)].join("\n")
+        );
+        // Most mutants must still reach a handler, not just the parser.
+        assert!(refused < MUTANTS * 9 / 10, "{refused} of {MUTANTS} refused");
+    }
 }

@@ -46,11 +46,15 @@ impl Scheduler for Asl {
     fn try_start(&mut self, id: TxnId) -> Outcome<StartDecision> {
         let spec = &self.specs[&id];
         let lock_set = spec.lock_set();
-        let all_free = lock_set
+        // The refusal stands until a holder of the first unavailable
+        // file leaves: held locks only grow until then.
+        if let Some(&(file, _)) = lock_set
             .iter()
-            .all(|&(file, mode)| self.table.can_grant(id, file, mode));
-        if !all_free {
-            return Outcome::free(StartDecision::Refuse).because("lock-set-unavailable");
+            .find(|&&(file, mode)| !self.table.can_grant(id, file, mode))
+        {
+            return Outcome::free(StartDecision::Refuse)
+                .because("lock-set-unavailable")
+                .until_released(file);
         }
         for (file, mode) in lock_set {
             self.table.grant(id, file, mode);

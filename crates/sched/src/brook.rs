@@ -88,7 +88,9 @@ impl Scheduler for Brook {
                 _ => break,
             };
             if !self.table.can_grant(id, file, mode) {
-                return Outcome::costed(ReqDecision::Blocked, self.dd_time).because("slw-order");
+                return Outcome::costed(ReqDecision::Blocked, self.dd_time)
+                    .because("slw-order")
+                    .until_released(file);
             }
             self.table.grant(id, file, mode);
             // Grant-time precedence: `id` now precedes every live

@@ -84,7 +84,9 @@ impl Scheduler for C2pl {
         let s = self.core.spec(id).steps[step];
         // Phase 1: conflicts with a held lock → blocked.
         if !self.table.can_grant(id, s.file, s.mode) {
-            return Outcome::costed(ReqDecision::Blocked, self.dd_time).because("lock-held");
+            return Outcome::costed(ReqDecision::Blocked, self.dd_time)
+                .because("lock-held")
+                .until_released(s.file);
         }
         // Phase 2: deadlock prediction over declared accesses.
         self.core

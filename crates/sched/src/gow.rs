@@ -92,7 +92,9 @@ impl Scheduler for Gow {
         let s = self.core.spec(id).steps[step];
         // Phase 1: conflicts with the current lock held on the file.
         if !self.table.can_grant(id, s.file, s.mode) {
-            return Outcome::free(ReqDecision::Blocked).because("lock-held");
+            return Outcome::free(ReqDecision::Blocked)
+                .because("lock-held")
+                .until_released(s.file);
         }
         self.core
             .implied_orientations_into(id, s.file, s.mode, &mut self.orient_buf);

@@ -88,6 +88,17 @@ pub struct Outcome<D> {
     /// in traces (e.g. `"predicted-deadlock"`, `"E(q)>E(p)"`). `None` for
     /// grants and for decisions whose cause is self-evident.
     pub reason: Option<&'static str>,
+    /// `Some(file)` marks a refusal that **stands**: asked the same
+    /// question again, the scheduler would return the same `decision`,
+    /// `cpu` and `reason`, and change none of its own state, for as long
+    /// as no transaction that holds or declares `file` leaves the live
+    /// set (commits, aborts or is forgotten). The simulator then replays
+    /// the refusal without calling the scheduler until such a departure.
+    ///
+    /// Only mark a refusal whose inputs are the lock row or the declarer
+    /// row of `file` and which that row's growth cannot undo. `None`
+    /// (the default) means the answer may change with any state change.
+    pub until_release: Option<FileId>,
 }
 
 impl<D> Outcome<D> {
@@ -97,6 +108,7 @@ impl<D> Outcome<D> {
             decision,
             cpu: Duration::ZERO,
             reason: None,
+            until_release: None,
         }
     }
 
@@ -106,12 +118,21 @@ impl<D> Outcome<D> {
             decision,
             cpu,
             reason: None,
+            until_release: None,
         }
     }
 
     /// Attach a policy reason (builder-style).
     pub fn because(mut self, reason: &'static str) -> Self {
         self.reason = Some(reason);
+        self
+    }
+
+    /// Mark the refusal as standing until a holder or declarer of `file`
+    /// leaves the live set (builder-style; see
+    /// [`Outcome::until_release`]).
+    pub fn until_released(mut self, file: FileId) -> Self {
+        self.until_release = Some(file);
         self
     }
 }

@@ -47,20 +47,24 @@ impl Low {
         }
     }
 
-    /// Number of K-conflict admission refusals so far.
+    /// Number of K-conflict admission refusals this scheduler evaluated.
+    /// A refusal the simulator replays while it stands (see
+    /// [`Outcome::until_release`]) is not evaluated, so not counted.
     pub fn k_refusals(&self) -> u64 {
         self.k_refusals
     }
 
-    /// Would admitting `id` violate the K-conflict bound for any
-    /// declaration (the candidate's or a live transaction's)? Reads only
-    /// the live declarers of `id`'s files.
-    fn violates_k(&self, id: TxnId) -> bool {
+    /// The first of `id`'s files on which admitting `id` would violate
+    /// the K-conflict bound for some declaration (the candidate's or a
+    /// live transaction's), or `None` when admission keeps the bound.
+    /// The check of a file reads only that file's live declarers, and a
+    /// row that grows can only add conflicts.
+    fn violates_k(&self, id: TxnId) -> Option<FileId> {
         self.core
             .spec(id)
             .lock_set()
             .into_iter()
-            .any(|(file, mode)| {
+            .find(|&(file, mode)| {
                 let mut count = 0u32;
                 for &(other, m) in self.core.declarers(file) {
                     if other == id || m.compatible(mode) {
@@ -78,6 +82,7 @@ impl Low {
                 }
                 count > self.k
             })
+            .map(|(file, _)| file)
     }
 
     /// Fill `out` with the orientations implied by granting a lock of
@@ -108,9 +113,11 @@ impl Scheduler for Low {
     }
 
     fn try_start(&mut self, id: TxnId) -> Outcome<StartDecision> {
-        if self.violates_k(id) {
+        if let Some(file) = self.violates_k(id) {
             self.k_refusals += 1;
-            return Outcome::free(StartDecision::Refuse).because("k-conflict");
+            return Outcome::free(StartDecision::Refuse)
+                .because("k-conflict")
+                .until_released(file);
         }
         self.core.add_live(id, &self.table);
         Outcome::free(StartDecision::Admit)
@@ -120,7 +127,9 @@ impl Scheduler for Low {
         let s = self.core.spec(id).steps[step];
         // Phase 1: conflicts with the current lock held on the file.
         if !self.table.can_grant(id, s.file, s.mode) {
-            return Outcome::free(ReqDecision::Blocked).because("lock-held");
+            return Outcome::free(ReqDecision::Blocked)
+                .because("lock-held")
+                .until_released(s.file);
         }
         if self.core.conflicting_declarer_count(id, s.file, s.mode) == 0 {
             // No contention on this file at all: grant for free.
@@ -386,7 +395,8 @@ mod tests {
 
     /// The K-check as it was first written: every live transaction is
     /// scanned for each declared file and its mode read from its spec.
-    fn violates_k_all_live_scan(s: &Low, id: TxnId) -> bool {
+    /// Returns the first file whose check fails.
+    fn violates_k_all_live_scan(s: &Low, id: TxnId) -> Option<FileId> {
         for (file, mode) in s.core.spec(id).lock_set() {
             let mut count = 0u32;
             for other in s.core.graph.txns() {
@@ -399,16 +409,16 @@ mod tests {
                         let other_count =
                             s.core.conflicting_declarer_count(other, file, m) as u32 + 1;
                         if other_count > s.k {
-                            return true;
+                            return Some(file);
                         }
                     }
                 }
             }
             if count > s.k {
-                return true;
+                return Some(file);
             }
         }
-        false
+        None
     }
 
     /// The row-based K-check agrees with the all-live scan on random
@@ -449,9 +459,10 @@ mod tests {
                 }
                 let expect = violates_k_all_live_scan(&s, id);
                 assert_eq!(s.violates_k(id), expect, "case {case} {id:?}");
-                let d = s.try_start(id).decision;
-                assert_eq!(d == StartDecision::Refuse, expect);
-                if expect {
+                let o = s.try_start(id);
+                assert_eq!(o.decision == StartDecision::Refuse, expect.is_some());
+                assert_eq!(o.until_release, expect);
+                if expect.is_some() {
                     refusals += 1;
                 } else {
                     admissions += 1;

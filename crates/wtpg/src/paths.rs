@@ -405,10 +405,22 @@ impl Scratch {
 /// The order exists to answer [`TopoOrder::reachable_from_any`] with a
 /// search that skips every node ordered after the target. Only a
 /// scheduler that asks such questions (C2PL) keeps one.
+///
+/// Searches follow a per-slot list of decided successors instead of
+/// scanning each node's whole adjacency. Each entry names the head's
+/// slot and the admission it belongs to; an entry whose head was
+/// removed (and its slot perhaps reused) since is skipped.
 #[derive(Debug, Default)]
 pub struct TopoOrder {
     /// Position per arena slot (meaningful for live slots only).
     ord: Vec<u64>,
+    /// Per slot: how many nodes it has been admitted for, which tells
+    /// its current node's entries from stale ones. (A stale entry would
+    /// need its slot re-admitted 2³² times while it waits.)
+    born: Vec<u32>,
+    /// Per slot: the decided successors of its node, recorded when the
+    /// edge was decided or the successor admitted. Reset on admission.
+    succ: SuccLists,
     /// The position the next admitted node takes.
     next: u64,
     /// Epoch-stamped visit marks per slot.
@@ -425,6 +437,70 @@ pub struct TopoOrder {
     pool: Vec<u64>,
 }
 
+/// A decided successor: the head's slot and its admission count.
+#[derive(Debug, Clone, Copy)]
+struct Succ {
+    slot: u32,
+    born: u32,
+}
+
+/// End of a [`SuccLists`] chain.
+const NIL: u32 = u32::MAX;
+
+/// Per-slot lists of [`Succ`] entries, linked newest first through one
+/// arena with a free chain. A `Vec` per slot would grow by many small
+/// reallocations; on the `repro --scale` run their holes raised peak RSS
+/// from 13 to 21 MiB.
+#[derive(Debug)]
+struct SuccLists {
+    /// Per slot: its newest entry, or `NIL`.
+    head: Vec<u32>,
+    /// Entries, each with the index of the next older one in its list.
+    links: Vec<(Succ, u32)>,
+    /// First entry of the chain of recycled entries, or `NIL`.
+    free: u32,
+}
+
+impl Default for SuccLists {
+    fn default() -> Self {
+        SuccLists {
+            head: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl SuccLists {
+    fn push(&mut self, slot: u32, e: Succ) {
+        let link = (e, self.head[slot as usize]);
+        let i = if self.free == NIL {
+            self.links.push(link);
+            (self.links.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.links[i as usize].1;
+            self.links[i as usize] = link;
+            i
+        };
+        self.head[slot as usize] = i;
+    }
+
+    /// Empty `slot`'s list, recycling its entries.
+    fn clear(&mut self, slot: u32) {
+        let first = std::mem::replace(&mut self.head[slot as usize], NIL);
+        if first == NIL {
+            return;
+        }
+        let mut last = first;
+        while self.links[last as usize].1 != NIL {
+            last = self.links[last as usize].1;
+        }
+        self.links[last as usize].1 = self.free;
+        self.free = first;
+    }
+}
+
 impl TopoOrder {
     /// An empty order.
     pub fn new() -> Self {
@@ -437,9 +513,17 @@ impl TopoOrder {
         if self.mark.len() < n {
             self.mark.resize(n, 0);
             self.ord.resize(n, 0);
+            self.born.resize(n, 0);
+            self.succ.head.resize(n, NIL);
         }
         self.epoch += 1;
         self.stack.clear();
+    }
+
+    /// Does `e` still name the node admitted into its slot, and is that
+    /// node live? A removed node's slot keeps its old id until reused.
+    fn current(&self, g: &Wtpg, e: Succ) -> bool {
+        self.born[e.slot as usize] == e.born && g.lookup(g.slot_id(e.slot)) == Some(e.slot)
     }
 
     fn slot(g: &Wtpg, t: TxnId) -> u32 {
@@ -458,8 +542,17 @@ impl TopoOrder {
             g.slot_adj(s).iter().all(|a| !a.owner_precedes(t)),
             "{t:?} admitted with a decided outgoing edge"
         );
+        let born = self.born[s as usize].wrapping_add(1);
+        self.born[s as usize] = born;
         self.ord[s as usize] = self.next;
         self.next += 1;
+        let me = Succ { slot: s, born };
+        self.succ.clear(s);
+        for a in g.slot_adj(s) {
+            if a.neighbor_precedes(t) {
+                self.succ.push(a.slot, me);
+            }
+        }
     }
 
     /// The position of node `t`, if it is live. (Meaningful only for
@@ -486,6 +579,11 @@ impl TopoOrder {
     /// edge closes a cycle.
     pub fn edge_decided(&mut self, g: &Wtpg, from: TxnId, to: TxnId) {
         let (sf, st) = (Self::slot(g, from), Self::slot(g, to));
+        let entry = Succ {
+            slot: st,
+            born: self.born[st as usize],
+        };
+        self.succ.push(sf, entry);
         let (lb, ub) = (self.ord[st as usize], self.ord[sf as usize]);
         if lb > ub {
             return;
@@ -498,16 +596,15 @@ impl TopoOrder {
         self.stack.push(st);
         while let Some(s) = self.stack.pop() {
             self.fwd.push(s);
-            let owner = g.slot_id(s);
-            for a in g.slot_adj(s) {
-                if !a.owner_precedes(owner) {
-                    continue;
-                }
-                debug_assert!(a.id != from, "{from:?} -> {to:?} closes a cycle");
-                let n = a.slot as usize;
-                if self.ord[n] < ub && self.mark[n] != e {
+            let mut at = self.succ.head[s as usize];
+            while at != NIL {
+                let (x, next) = self.succ.links[at as usize];
+                at = next;
+                let n = x.slot as usize;
+                if self.ord[n] < ub && self.mark[n] != e && self.current(g, x) {
+                    debug_assert!(n != sf as usize, "{from:?} -> {to:?} closes a cycle");
                     self.mark[n] = e;
-                    self.stack.push(a.slot);
+                    self.stack.push(x.slot);
                 }
             }
         }
@@ -554,7 +651,9 @@ impl TopoOrder {
         I: IntoIterator<Item = TxnId>,
     {
         self.begin(g);
-        let ub = self.ord[Self::slot(g, target) as usize];
+        let st = Self::slot(g, target);
+        let ub = self.ord[st as usize];
+        let born = self.born[st as usize];
         let e = self.epoch;
         for src in sources {
             if src == target {
@@ -568,19 +667,18 @@ impl TopoOrder {
             }
         }
         while let Some(s) = self.stack.pop() {
-            let owner = g.slot_id(s);
-            for a in g.slot_adj(s) {
-                if !a.owner_precedes(owner) {
-                    continue;
-                }
-                if a.id == target {
+            let mut at = self.succ.head[s as usize];
+            while at != NIL {
+                let (x, next) = self.succ.links[at as usize];
+                at = next;
+                if x.slot == st && x.born == born {
                     self.stack.clear();
                     return true;
                 }
-                let n = a.slot as usize;
-                if self.ord[n] < ub && self.mark[n] != e {
+                let n = x.slot as usize;
+                if self.ord[n] < ub && self.mark[n] != e && self.current(g, x) {
                     self.mark[n] = e;
-                    self.stack.push(a.slot);
+                    self.stack.push(x.slot);
                 }
             }
         }

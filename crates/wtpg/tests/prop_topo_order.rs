@@ -168,3 +168,134 @@ fn order_stays_topological_and_windowed_search_matches_plain_search() {
     assert!(queries > 1_000, "only {queries} queries");
     assert!(reordering_edges > 100, "only {reordering_edges} reorders");
 }
+
+/// A removed node's slot keeps its old id until it is reused, and a
+/// restarted id re-enters the slot it left (the free list is LIFO). The
+/// search must follow neither a removed node's old edges nor an old edge
+/// into a new admission of the same id.
+#[test]
+fn search_ignores_edges_of_removed_and_readmitted_nodes() {
+    let (a, b, c) = (TxnId(1), TxnId(2), TxnId(3));
+    let mut g = Wtpg::new();
+    let mut order = TopoOrder::new();
+    for t in [a, b, c] {
+        g.add_txn(t, 1.0);
+        order.admit(&g, t);
+    }
+    g.declare_conflict(a, b, 1.0, 1.0);
+    g.declare_conflict(b, c, 1.0, 1.0);
+    for (from, to) in [(a, b), (b, c)] {
+        g.set_precedence(from, to);
+        order.edge_decided(&g, from, to);
+    }
+    assert!(order.reachable_from_any(&g, [a], c));
+
+    // `b` leaves: its slot is free but still carries its id.
+    g.remove_txn(b);
+    assert!(
+        !order.reachable_from_any(&g, [a], c),
+        "path through a removed node"
+    );
+
+    // `b` restarts into the same slot with no edge from `a`.
+    g.add_txn(b, 1.0);
+    order.admit(&g, b);
+    assert!(
+        !order.reachable_from_any(&g, [a], b),
+        "edge into an earlier admission"
+    );
+    assert!(!order.reachable_from_any(&g, [a], c));
+
+    // Deciding `a → b` again makes both reachable once more.
+    g.declare_conflict(a, b, 1.0, 1.0);
+    g.set_precedence(a, b);
+    order.edge_decided(&g, a, b);
+    g.declare_conflict(b, c, 1.0, 1.0);
+    g.set_precedence(b, c);
+    order.edge_decided(&g, b, c);
+    assert!(order.reachable_from_any(&g, [a], c));
+}
+
+/// The randomized check of the first test, with most removals followed
+/// at once by the same id's restart (so it lands in the slot it left)
+/// and with fresh ids reusing freed slots.
+#[test]
+fn windowed_search_matches_plain_search_under_slot_reuse() {
+    let mut queries = 0u64;
+    let mut same_slot_restarts = 0u64;
+    for case in 0..CASES {
+        let mut r = Rng::new(case ^ 0x5107);
+        let mut g = Wtpg::new();
+        let mut order = TopoOrder::new();
+        let mut next_id = 0u64;
+        for op in 0..OPS {
+            let live: Vec<TxnId> = g.txns().collect();
+            let context = format!("case {case} op {op}");
+            let admit = |g: &mut Wtpg, order: &mut TopoOrder, r: &mut Rng, id: TxnId| {
+                let others: Vec<TxnId> = g.txns().collect();
+                g.add_txn(id, 1.0);
+                for other in others {
+                    if r.chance(50) {
+                        g.declare_conflict(id, other, 1.0, 1.0);
+                        if r.chance(40) {
+                            g.set_precedence(other, id);
+                        }
+                    }
+                }
+                order.admit(g, id);
+            };
+            match r.below(8) {
+                0..=1 if live.len() < 12 => {
+                    next_id += 1;
+                    admit(&mut g, &mut order, &mut r, TxnId(next_id));
+                }
+                // Remove a node; usually restart it at once.
+                0..=2 => {
+                    let Some(t) = pick(&mut r, &live) else {
+                        continue;
+                    };
+                    g.remove_txn(t);
+                    if r.chance(70) {
+                        admit(&mut g, &mut order, &mut r, t);
+                        same_slot_restarts += 1;
+                    }
+                }
+                3..=5 => {
+                    let Some(from) = pick(&mut r, &live) else {
+                        continue;
+                    };
+                    let tos: Vec<TxnId> = safe_targets(&g, from)
+                        .into_iter()
+                        .filter(|_| r.chance(60))
+                        .collect();
+                    for &to in &tos {
+                        g.set_precedence(from, to);
+                    }
+                    for &to in &tos {
+                        order.edge_decided(&g, from, to);
+                    }
+                }
+                _ => {
+                    let Some(from) = pick(&mut r, &live) else {
+                        continue;
+                    };
+                    let targets: Vec<TxnId> =
+                        live.iter().copied().filter(|_| r.chance(30)).collect();
+                    let plain = targets.iter().any(|&t| reachable(&g, t, from));
+                    let windowed = order.reachable_from_any(&g, targets.iter().copied(), from);
+                    assert_eq!(
+                        windowed, plain,
+                        "{context}: from {from:?} targets {targets:?}"
+                    );
+                    queries += 1;
+                }
+            }
+            assert_valid(&g, &order, &context);
+        }
+    }
+    assert!(queries > 1_000, "only {queries} queries");
+    assert!(
+        same_slot_restarts > 1_000,
+        "only {same_slot_restarts} restarts"
+    );
+}

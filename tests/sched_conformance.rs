@@ -13,17 +13,28 @@
 //!   5. checkpoint → restore → run byte-identity,
 //!   6. Brook-2PL zero-deadlock, asserted structurally (ascending
 //!      lock-order prefix audited mid-run) and observationally
-//!      (`aborts_scheduler == 0`).
+//!      (`aborts_scheduler == 0`),
+//!   7. a refusal the engine replays while it stands changes nothing:
+//!      a run that asks the scheduler every time gives the same report
+//!      and the same trace.
 
 #[path = "harness.rs"]
 mod harness;
 
 use batchsched::config::{SimConfig, WorkloadKind};
+use batchsched::des::rng::Xoshiro256;
 use batchsched::des::{Duration, SimTime};
 use batchsched::engine::{Engine, Snapshot};
-use batchsched::sched::SchedulerKind;
+use batchsched::sched::{
+    Outcome, ReqDecision, SchedTelemetry, Scheduler, SchedulerKind, StartDecision,
+};
+use batchsched::trace::{TraceData, Tracer};
+use batchsched::workload::{BatchSpec, FileId};
 use batchsched::wtpg::oracle::is_serializable;
-use harness::{assert_no_retained_state, check_case, run_drain};
+use batchsched::wtpg::TxnId;
+use harness::{assert_no_retained_state, check_case, random_plan, run_drain};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn load_point(kind: SchedulerKind, lambda: f64, dd: u32, seed: u64) -> SimConfig {
     let mut c = SimConfig::new(kind, WorkloadKind::Exp1 { num_files: 16 });
@@ -214,6 +225,144 @@ fn conformance_dgcc_batch_disjointness() {
         audits += 1;
     }
     assert!(audits > 10, "audit loop exited early after {audits} checks");
+}
+
+/// Forwards every call to the wrapped scheduler and counts the
+/// `try_start` and `request` calls. With `strip` set it also clears
+/// `until_release` on every outcome, so the engine never replays a
+/// refusal and asks the scheduler each time.
+struct Forward {
+    inner: Box<dyn Scheduler>,
+    strip: bool,
+    decisions: Arc<AtomicU64>,
+}
+
+impl Forward {
+    fn pass<D>(&self, mut o: Outcome<D>) -> Outcome<D> {
+        self.decisions.fetch_add(1, Ordering::Relaxed);
+        if self.strip {
+            o.until_release = None;
+        }
+        o
+    }
+}
+
+impl Scheduler for Forward {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn register(&mut self, id: TxnId, spec: BatchSpec) {
+        self.inner.register(id, spec);
+    }
+    fn try_start(&mut self, id: TxnId) -> Outcome<StartDecision> {
+        let o = self.inner.try_start(id);
+        self.pass(o)
+    }
+    fn request(&mut self, id: TxnId, step: usize) -> Outcome<ReqDecision> {
+        let o = self.inner.request(id, step);
+        self.pass(o)
+    }
+    fn step_complete(&mut self, id: TxnId, step: usize) {
+        self.inner.step_complete(id, step);
+    }
+    fn validate(&mut self, id: TxnId) -> Outcome<bool> {
+        self.inner.validate(id)
+    }
+    fn commit(&mut self, id: TxnId) -> Vec<FileId> {
+        self.inner.commit(id)
+    }
+    fn abort(&mut self, id: TxnId) -> Vec<FileId> {
+        self.inner.abort(id)
+    }
+    fn commit_into(&mut self, id: TxnId, released: &mut Vec<FileId>) {
+        self.inner.commit_into(id, released);
+    }
+    fn abort_into(&mut self, id: TxnId, released: &mut Vec<FileId>) {
+        self.inner.abort_into(id, released);
+    }
+    fn forget(&mut self, id: TxnId, released: &mut Vec<FileId>) {
+        self.inner.forget(id, released);
+    }
+    fn live_count(&self) -> usize {
+        self.inner.live_count()
+    }
+    fn drain_constraints(&mut self) -> Vec<(TxnId, TxnId)> {
+        self.inner.drain_constraints()
+    }
+    fn telemetry(&self) -> SchedTelemetry {
+        self.inner.telemetry()
+    }
+    fn audit_invariant(&self) -> Option<Result<(), String>> {
+        self.inner.audit_invariant()
+    }
+}
+
+/// Run `c` behind [`Forward`] with a trace ring; return the report JSON,
+/// the trace and the number of scheduler decisions asked for.
+fn forwarded_run(c: &SimConfig, strip: bool) -> (String, TraceData, u64) {
+    let decisions = Arc::new(AtomicU64::new(0));
+    let mut e = Engine::new(c);
+    e.replace_scheduler(Box::new(Forward {
+        inner: c.scheduler.build(&c.costs),
+        strip,
+        decisions: Arc::clone(&decisions),
+    }));
+    e.set_tracer(Tracer::ring(1 << 18));
+    e.run_to_horizon();
+    let trace = e.take_trace().expect("ring installed");
+    (
+        e.report().to_json(),
+        trace,
+        decisions.load(Ordering::Relaxed),
+    )
+}
+
+/// Contract 7: replaying standing refusals is invisible. For every kind,
+/// at a saturating load point with faults off and under three fault
+/// plans, a run that asks
+/// the scheduler every time (every `until_release` stripped) gives the
+/// same report and the same trace as the run that replays. The kinds
+/// that mark refusals must actually have been spared calls, so the
+/// comparison is not vacuous.
+#[test]
+fn conformance_standing_refusals_change_nothing() {
+    let marks = [
+        SchedulerKind::Asl,
+        SchedulerKind::Gow,
+        SchedulerKind::Low(2),
+        SchedulerKind::C2pl,
+        SchedulerKind::Brook,
+    ];
+    for kind in SchedulerKind::ALL {
+        // No faults, then three random fault plans.
+        for plan in [None, Some(0x57A7D), Some(0x57A7E), Some(0x57A7F)] {
+            let mut c = load_point(kind, 1.1, 1, 61);
+            if let Some(seed) = plan {
+                let mut rng = Xoshiro256::seed_from_u64(seed);
+                c = c.with_faults(random_plan(&mut rng, 200));
+            }
+            let ctx = format!("{kind} fault plan {plan:?}");
+            let (report, trace, asked) = forwarded_run(&c, false);
+            let (report_all, trace_all, asked_all) = forwarded_run(&c, true);
+            assert_eq!(report, report_all, "{ctx}: report differs");
+            assert_eq!(trace.counts, trace_all.counts, "{ctx}: trace counts differ");
+            assert_eq!(trace.dropped, trace_all.dropped, "{ctx}");
+            if let Some(i) = (0..trace.records.len().min(trace_all.records.len()))
+                .find(|&i| trace.records[i] != trace_all.records[i])
+            {
+                panic!(
+                    "{ctx}: trace record {i} differs: {:?} vs {:?}",
+                    trace.records[i], trace_all.records[i]
+                );
+            }
+            assert_eq!(trace.records.len(), trace_all.records.len(), "{ctx}");
+            if marks.contains(&kind) {
+                assert!(asked < asked_all, "{ctx}: no refusal was replayed");
+            } else {
+                assert_eq!(asked, asked_all, "{ctx}: an unmarked kind was spared calls");
+            }
+        }
+    }
 }
 
 /// The conformance surface itself is conserved: the registry constants
