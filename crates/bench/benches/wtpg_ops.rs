@@ -1,5 +1,6 @@
-//! Microbenchmarks of the WTPG algorithms: critical path, E(q), the GOW
-//! chain optimizer and the chain-form admission test.
+//! Microbenchmarks of the WTPG algorithms: critical path, E(q) (LOW's
+//! delta evaluator beside the reference), the GOW chain optimizer and
+//! the chain-form admission test.
 //!
 //! These are the operations whose CPU cost the paper models with
 //! `kwtpgtime`/`chaintime`/`toptime`; the benchmarks show the real cost
@@ -8,7 +9,7 @@
 //! Plain `Instant`-based harness (no external benchmark framework).
 
 use bds_wtpg::chain::{accepts_new_txn, is_chain_form, min_critical};
-use bds_wtpg::eq::eval_grant;
+use bds_wtpg::eq::{eval_grant, GrantEval};
 use bds_wtpg::paths::{critical_path, has_cycle, propagate, reachable};
 use bds_wtpg::{TxnId, Wtpg};
 use std::hint::black_box;
@@ -72,6 +73,26 @@ fn dense_graph(n: u64) -> Wtpg {
     g
 }
 
+/// A LOW-shaped graph: the conflicts of [`dense_graph`], with only the
+/// pairs `(i, i + 1)` of even `i` decided, so most pairs are open.
+fn low_graph(n: u64) -> Wtpg {
+    let mut g = Wtpg::new();
+    for i in 0..n {
+        g.add_txn(t(i), (i % 7) as f64);
+    }
+    for i in 0..n {
+        for d in 1..=4u64 {
+            if i + d < n {
+                g.declare_conflict(t(i), t(i + d), 1.0 + d as f64, 2.0);
+            }
+        }
+    }
+    for i in (0..n - 1).step_by(2) {
+        g.set_precedence(t(i), t(i + 1));
+    }
+    g
+}
+
 fn main() {
     for n in [8u64, 32, 128] {
         let g = dense_graph(n);
@@ -105,12 +126,23 @@ fn main() {
             black_box(accepts_new_txn(&g, &[t(0)]))
         });
     }
-    // `kwtpgtime = 10 ms` in the paper (E(q) evaluation).
+    // `kwtpgtime = 10 ms` in the paper (E(q) evaluation). One LOW
+    // request: E(q) for `s` and E(p) for its competitor `s + 1`, as
+    // deltas over one prepared base and with the reference `eval_grant`.
     for n in [8u64, 32, 128] {
-        let g = dense_graph(n);
-        let orient = [(t(2), t(4))];
+        let g = low_graph(n);
+        let s = n / 2 + 1;
+        let q = [(t(s), t(s + 1)), (t(s), t(s + 2))];
+        let p = [(t(s + 1), t(s)), (t(s + 1), t(s + 3))];
+        let mut eval = GrantEval::new();
         bench(&format!("low_eval_grant/{n}"), || {
-            black_box(eval_grant(&g, &orient))
+            eval.prepare(&g);
+            black_box(eval.eval(&g, &q));
+            black_box(eval.eval(&g, &p))
+        });
+        bench(&format!("eval_grant/{n}"), || {
+            black_box(eval_grant(&g, &q));
+            black_box(eval_grant(&g, &p))
         });
     }
     for n in [32u64, 128] {

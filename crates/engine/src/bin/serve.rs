@@ -24,9 +24,10 @@
 //! Every response carries `"ok":true` or `"ok":false` plus `"error"`.
 //! Bad input is refused with `"ok":false` and leaves the session as it
 //! was: `configure` rejects unknown keys, non-integral or out-of-range
-//! integers and every configuration [`bds_engine::SimConfig::validate`]
+//! integers and every configuration [`bds_engine::SimConfig::validate_sampled`]
 //! refuses (an `mpl` of 0, a workload with fewer files than its pattern
-//! has slots, …); `submit` rejects a transaction that
+//! has slots, a fault plan or sampling interval whose up-front memory
+//! would have no bound, …); `submit` rejects a transaction that
 //! [`bds_engine::validate_spec`] refuses (for example a step `file` that
 //! does not name one of the workload's files); `restore` rejects a
 //! snapshot taken under another configuration or whose replay diverges
@@ -398,10 +399,7 @@ impl Session {
         if let Some(mpl) = get_u32(req, "mpl")? {
             cfg.mpl = Some(mpl);
         }
-        let metrics_dt = get_u64(req, "metrics_dt_ms")?;
-        if metrics_dt == Some(0) {
-            return Err("metrics_dt_ms must be positive".into());
-        }
+        let metrics_dt = get_u64(req, "metrics_dt_ms")?.map(Duration::from_millis);
         let profile = match req.get("profile") {
             None => false,
             Some(JsonValue::Bool(b)) => *b,
@@ -410,11 +408,11 @@ impl Session {
         if let Some(plan) = req.get("faults").and_then(JsonValue::as_str) {
             cfg = cfg.with_faults(FaultPlan::parse(plan)?);
         }
-        cfg.validate()?;
+        cfg.validate_sampled(metrics_dt)?;
         let mut engine = Engine::new(&cfg);
         engine.enable_checkpointing();
         if let Some(dt) = metrics_dt {
-            engine.set_metrics_interval(Duration::from_millis(dt));
+            engine.set_metrics_interval(dt);
         }
         if profile {
             engine.set_profiler(Profiler::on());

@@ -42,6 +42,15 @@ pub enum WorkloadKind {
 /// keep a row per file id, so the count bounds their memory.
 pub const MAX_FILES: u32 = 1 << 16;
 
+/// Largest expected number of MTBF-generated crashes over all nodes and
+/// the horizon. [`crate::Engine::new`] expands the whole fault timeline
+/// up front, so the count bounds that memory.
+pub const MAX_FAULT_CRASHES: u64 = 1 << 16;
+
+/// Largest number of rows a metrics sampler may take over the horizon
+/// (horizon / interval). The series holds every row.
+pub const MAX_SAMPLE_ROWS: u64 = 1 << 16;
+
 impl WorkloadKind {
     /// Number of files in the database.
     pub fn num_files(&self) -> u32 {
@@ -232,7 +241,45 @@ impl SimConfig {
         if self.mpl == Some(0) {
             return Err("mpl cap must be positive".into());
         }
+        if let Some(mtbf) = self.faults.mtbf {
+            // Each node's renewal cycle lasts mtbf + mttr on average,
+            // each at least 1 ms in the expansion.
+            let cycle_ms = mtbf.as_millis().max(1) + self.faults.mttr.as_millis().max(1);
+            let crashes = u64::from(self.costs.num_nodes) * (self.horizon.as_millis() / cycle_ms);
+            if crashes > MAX_FAULT_CRASHES {
+                return Err(format!(
+                    "faults mtbf {} ms + mttr {} ms over a {} ms horizon on {} nodes expect \
+                     {crashes} crashes, expanded up front, so at most {MAX_FAULT_CRASHES}",
+                    mtbf.as_millis(),
+                    self.faults.mttr.as_millis(),
+                    self.horizon.as_millis(),
+                    self.costs.num_nodes
+                ));
+            }
+        }
         self.workload.validate()
+    }
+
+    /// [`SimConfig::validate`], plus, when the run samples metrics every
+    /// `metrics_dt`, a positive interval giving at most
+    /// [`MAX_SAMPLE_ROWS`] rows over the horizon. `bds-serve configure`
+    /// and snapshot replay refuse with it what the engine would
+    /// otherwise allocate without bound.
+    pub fn validate_sampled(&self, metrics_dt: Option<Duration>) -> Result<(), String> {
+        self.validate()?;
+        let Some(dt) = metrics_dt else {
+            return Ok(());
+        };
+        let rows = self.horizon.as_millis().checked_div(dt.as_millis());
+        if rows.is_none_or(|rows| rows > MAX_SAMPLE_ROWS) {
+            return Err(format!(
+                "metrics_dt_ms {} over a {} ms horizon: the interval must be positive and \
+                 give at most {MAX_SAMPLE_ROWS} rows",
+                dt.as_millis(),
+                self.horizon.as_millis()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -327,6 +374,29 @@ mod tests {
         };
         assert!(cfg(w).validate().is_err());
         assert_eq!(cfg(WorkloadKind::Exp1 { num_files: 2 }).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_bounds_up_front_allocations() {
+        let cfg = SimConfig::new(SchedulerKind::Low(2), WorkloadKind::Exp1 { num_files: 16 });
+        let ms = Duration::from_millis;
+        // 8 nodes × 2 000 000 ms / 2 ms: 8 M crashes.
+        let storm = cfg
+            .clone()
+            .with_faults(FaultPlan::from_mtbf(ms(0), ms(0), 1));
+        assert!(storm.validate().unwrap_err().contains("mtbf"));
+        let paper = cfg.clone().with_faults(FaultPlan::from_mtbf(
+            Duration::from_secs(120),
+            ms(15_000),
+            1,
+        ));
+        assert_eq!(paper.validate(), Ok(()));
+        assert_eq!(cfg.validate_sampled(Some(Duration::from_secs(5))), Ok(()));
+        for dt in [0, 1, 30] {
+            let err = cfg.validate_sampled(Some(ms(dt))).unwrap_err();
+            assert!(err.contains("metrics_dt_ms"), "{err}");
+        }
+        assert_eq!(cfg.validate_sampled(Some(ms(31))), Ok(()));
     }
 
     #[test]

@@ -1930,10 +1930,10 @@ impl Engine {
                 Call::Swap(kind) => {
                     e.swap_scheduler(*kind);
                 }
-                Call::Metrics(Some(dt)) if dt.is_zero() => {
-                    return Err("metrics interval must be positive".into());
+                Call::Metrics(Some(dt)) => {
+                    cfg.validate_sampled(Some(*dt))?;
+                    e.set_metrics_interval(*dt);
                 }
-                Call::Metrics(Some(dt)) => e.set_metrics_interval(*dt),
                 Call::Metrics(None) => {
                     e.take_metrics();
                 }

@@ -296,6 +296,15 @@ fn configure_refuses_bad_input_and_stays_up() {
         ),
         (r#"{"cmd":"configure","horizon_s":0}"#, "horizon_s"),
         (r#"{"cmd":"configure","metrics_dt_ms":0}"#, "metrics_dt_ms"),
+        // The sampler keeps a row per interval over the horizon (10 M
+        // here), and the fault timeline is expanded up front (8 M
+        // crashes here); both used to abort the server on a failed
+        // allocation under a 1 GB address-space limit.
+        (
+            r#"{"cmd":"configure","metrics_dt_ms":1,"horizon_s":10000}"#,
+            "metrics_dt_ms",
+        ),
+        (r#"{"cmd":"configure","faults":"mtbf=0,mttr=0"}"#, "mtbf"),
         (r#"{"cmd":"configure","profile":1}"#, "profile"),
         (r#"{"cmd":"configure","workload":"exp1:0"}"#, "file count"),
         // Per-file tables are sized by the file count.

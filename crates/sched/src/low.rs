@@ -16,7 +16,7 @@ use crate::wtpg_core::WtpgCore;
 use crate::{Outcome, ReqDecision, SchedTelemetry, Scheduler, StartDecision};
 use bds_des::time::Duration;
 use bds_workload::{BatchSpec, FileId, LockMode};
-use bds_wtpg::{eq, paths, TxnId};
+use bds_wtpg::{eq, TxnId};
 
 /// The LOW scheduler.
 #[derive(Debug, Default)]
@@ -26,10 +26,10 @@ pub struct Low {
     k: u32,
     kwtpg_time: Duration,
     k_refusals: u64,
-    /// Reused trial graph + traversal marks for `E(·)` evaluations.
-    scratch: eq::EqScratch,
-    /// Reused traversal state for post-grant propagation.
-    ps: paths::Scratch,
+    /// `E(·)` as deltas over the graph prepared once per request.
+    eval: eq::GrantEval,
+    /// Scratch: the pairs a grant forces.
+    forced: Vec<(TxnId, TxnId)>,
     /// Scratch: orientations implied by granting the request `q`.
     orient_q: Vec<(TxnId, TxnId)>,
     /// Scratch: orientations implied by granting a competitor `p`.
@@ -87,7 +87,7 @@ impl Low {
 
     /// Fill `out` with the orientations implied by granting a lock of
     /// `mode` on `file` to `who` (toward every conflicting declarer,
-    /// decided or not — `eval_grant` maps decided-adverse pairs to ∞).
+    /// decided or not — `GrantEval::eval` maps decided-adverse pairs to ∞).
     fn fill_grant_orientations(
         core: &WtpgCore,
         who: TxnId,
@@ -139,7 +139,8 @@ impl Scheduler for Low {
         // Phase 2: E(q).
         let mut cpu = self.kwtpg_time;
         Self::fill_grant_orientations(&self.core, id, s.file, s.mode, &mut self.orient_q);
-        let e_q = eq::eval_grant_with(&mut self.scratch, &self.core.graph, &self.orient_q);
+        self.eval.prepare(&self.core.graph);
+        let e_q = self.eval.eval(&self.core.graph, &self.orient_q);
         if e_q.is_infinite() {
             // Granting q would deadlock (or contradict a decided order).
             return Outcome::costed(ReqDecision::Delayed, cpu).because("deadlock-risk");
@@ -168,14 +169,16 @@ impl Scheduler for Low {
                 other_mode,
                 &mut self.orient_p,
             );
-            let e_p = eq::eval_grant_with(&mut self.scratch, &self.core.graph, &self.orient_p);
+            let e_p = self.eval.eval(&self.core.graph, &self.orient_p);
             cpu += self.kwtpg_time;
             if e_q > e_p + 1e-9 {
                 return Outcome::costed(ReqDecision::Delayed, cpu).because("E(q)>E(p)");
             }
         }
-        // Phase 4: grant, orient, propagate forced pairs (Fig. 6).
+        // Phase 4: grant, orient, decide the forced pairs (Fig. 6).
         self.table.grant(id, s.file, s.mode);
+        self.eval
+            .forced_into(&self.core.graph, &self.orient_q, &mut self.forced);
         {
             // Keep only the still-undecided orientations, in order.
             let graph = &self.core.graph;
@@ -183,9 +186,9 @@ impl Scheduler for Low {
                 .retain(|&(from, to)| !graph.is_decided(from, to));
         }
         self.core.apply_orientations(&self.orient_q);
-        self.ps
-            .propagate(&mut self.core.graph)
-            .expect("E(q) was finite, propagation cannot contradict");
+        for &(from, to) in &self.forced {
+            self.core.graph.set_precedence(from, to);
+        }
         Outcome::costed(ReqDecision::Granted, cpu)
     }
 

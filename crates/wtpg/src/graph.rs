@@ -205,31 +205,15 @@ impl Adj {
 }
 
 /// Arena slot: node data plus id-sorted adjacency.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Slot {
     id: TxnId,
     node: Node,
     adj: Vec<Adj>,
 }
 
-impl Clone for Slot {
-    fn clone(&self) -> Self {
-        Slot {
-            id: self.id,
-            node: self.node,
-            adj: self.adj.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.id = source.id;
-        self.node = source.node;
-        self.adj.clone_from(&source.adj);
-    }
-}
-
 /// The weighted transaction-precedence graph.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Wtpg {
     /// Sorted `(id, slot)` map of live transactions.
     index: Vec<(TxnId, u32)>,
@@ -237,25 +221,6 @@ pub struct Wtpg {
     slots: Vec<Slot>,
     /// Free (dead) slot numbers.
     free: Vec<u32>,
-}
-
-impl Clone for Wtpg {
-    fn clone(&self) -> Self {
-        Wtpg {
-            index: self.index.clone(),
-            slots: self.slots.clone(),
-            free: self.free.clone(),
-        }
-    }
-
-    /// Allocation-reusing copy for trial-grant evaluation
-    /// ([`crate::eq::eval_grant_with`]): slot and adjacency buffers of
-    /// `self` are retained.
-    fn clone_from(&mut self, source: &Self) {
-        self.index.clone_from(&source.index);
-        self.slots.clone_from(&source.slots);
-        self.free.clone_from(&source.free);
-    }
 }
 
 /// Semantic equality: same transactions, weights, and pair edges.
@@ -637,7 +602,7 @@ impl Wtpg {
 
     /// Collect all undecided conflict pairs into `out` (cleared first),
     /// ascending by `(lo, hi)` — the scratch-buffer variant used by
-    /// [`crate::paths::Scratch::propagate`].
+    /// [`crate::paths::Scratch::forced_pairs`].
     pub fn conflict_pairs_into(&self, out: &mut Vec<PairKey>) {
         out.clear();
         for &(t, s) in &self.index {

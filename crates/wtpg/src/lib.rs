@@ -25,6 +25,9 @@
 //!   critical path ([`chain::min_critical`]).
 //! * **LOW** evaluates the *local* contention estimate `E(q)` — the
 //!   critical path after tentatively granting `q` ([`eq::eval_grant`]).
+//!   Per request it prepares the graph once and takes `E(q)`, each
+//!   `E(p)` and the grant's forced pairs as deltas over it
+//!   ([`eq::GrantEval`]), bit-identical to the reference.
 //!
 //! All algorithms are validated against brute-force oracles in
 //! [`oracle`] by unit and property tests.

@@ -60,9 +60,9 @@ pub struct Scratch {
     frames: Vec<(u32, u32)>,
     /// Longest-path distance per slot (valid where `mark == epoch`).
     dist: Vec<f64>,
-    /// Worklist of undecided pairs for [`Scratch::propagate`].
+    /// Undecided pairs for [`Scratch::forced_pairs`].
     pairs: Vec<PairKey>,
-    /// Transitive-closure bitset rows for [`Scratch::propagate`]
+    /// Transitive-closure bitset rows for [`Scratch::forced_pairs`]
     /// (`slot → descendant slots`), `closure_words` words per row.
     closure: Vec<u64>,
     /// Words per closure row.
@@ -315,74 +315,69 @@ impl Scratch {
         self.closure[s * self.closure_words + t / 64] >> (t % 64) & 1 == 1
     }
 
-    /// Propagate forced orientations (the paper's Fig. 6 rule) to a
-    /// fixpoint, driven by a reusable worklist of undecided pairs (decided
-    /// pairs drop out; unresolved pairs are re-checked each pass, exactly
-    /// reproducing the original snapshot-per-pass decision order).
+    /// The forced orientations of `g`'s undecided pairs (the paper's
+    /// Fig. 6 rule): every undecided pair `(a, b)` with a decided path
+    /// `a ⇝ b` yields `(a, b)`, in ascending pair order, into `out`
+    /// (cleared first).
     ///
-    /// A forced orientation `a → b` is applied only when `a ⇝ b` is
-    /// *already* reachable over decided edges, so applying it never adds
-    /// reachability: the transitive closure is constant for the whole
-    /// call. It is therefore built once up front (bitset rows) and every
-    /// pair probe is an `O(1)` lookup instead of a DFS — identical truth
-    /// values, so the decision sequence is bit-for-bit the same as the
-    /// probing version, which remains as the fallback for oversized
-    /// arenas. The multi-pass loop is kept for structural fidelity; with
-    /// a constant closure it settles in two passes.
+    /// Applying a forced orientation never adds reachability (`a ⇝ b`
+    /// already held), so this one pass is the whole fixpoint and the
+    /// transitive closure is constant: it is built once (bitset rows)
+    /// and every pair probe is an `O(1)` lookup. Arenas past
+    /// `CLOSURE_SLOT_LIMIT` slots probe each pair with a DFS instead.
     ///
     /// Returns [`Contradiction`] if some pair is reachable in *both*
-    /// directions.
-    pub fn propagate(&mut self, g: &mut Wtpg) -> Result<(), Contradiction> {
+    /// directions (the decided edges close a cycle through it).
+    pub fn forced_pairs(
+        &mut self,
+        g: &Wtpg,
+        out: &mut Vec<(TxnId, TxnId)>,
+    ) -> Result<(), Contradiction> {
+        out.clear();
         let mut pairs = std::mem::take(&mut self.pairs);
         g.conflict_pairs_into(&mut pairs);
-        if pairs.is_empty() {
-            self.pairs = pairs;
-            return Ok(());
-        }
-        let use_closure = g.slot_bound() <= CLOSURE_SLOT_LIMIT;
+        let use_closure = !pairs.is_empty() && g.slot_bound() <= CLOSURE_SLOT_LIMIT;
         if use_closure {
             self.build_closure(g);
         }
-        loop {
-            let mut changed = false;
-            let mut keep = 0;
-            for i in 0..pairs.len() {
-                let key = pairs[i];
-                let (ab, ba) = if use_closure {
-                    let lo = g.lookup(key.lo).expect("pair endpoint is live") as usize;
-                    let hi = g.lookup(key.hi).expect("pair endpoint is live") as usize;
-                    (self.closure_has(lo, hi), self.closure_has(hi, lo))
-                } else {
-                    (
-                        self.reachable(g, key.lo, key.hi),
-                        self.reachable(g, key.hi, key.lo),
-                    )
-                };
-                match (ab, ba) {
-                    (true, true) => {
-                        self.pairs = pairs;
-                        return Err(Contradiction { pair: key });
-                    }
-                    (true, false) => {
-                        g.set_precedence(key.lo, key.hi);
-                        changed = true;
-                    }
-                    (false, true) => {
-                        g.set_precedence(key.hi, key.lo);
-                        changed = true;
-                    }
-                    (false, false) => {
-                        pairs[keep] = key;
-                        keep += 1;
-                    }
+        let mut result = Ok(());
+        for &key in &pairs {
+            let (ab, ba) = if use_closure {
+                let lo = g.lookup(key.lo).expect("pair endpoint is live") as usize;
+                let hi = g.lookup(key.hi).expect("pair endpoint is live") as usize;
+                (self.closure_has(lo, hi), self.closure_has(hi, lo))
+            } else {
+                (
+                    self.reachable(g, key.lo, key.hi),
+                    self.reachable(g, key.hi, key.lo),
+                )
+            };
+            match (ab, ba) {
+                (true, true) => {
+                    result = Err(Contradiction { pair: key });
+                    break;
                 }
-            }
-            pairs.truncate(keep);
-            if !changed {
-                self.pairs = pairs;
-                return Ok(());
+                (true, false) => out.push((key.lo, key.hi)),
+                (false, true) => out.push((key.hi, key.lo)),
+                (false, false) => {}
             }
         }
+        self.pairs = pairs;
+        result
+    }
+
+    /// Propagate forced orientations (the paper's Fig. 6 rule) to a
+    /// fixpoint: decide every pair [`Scratch::forced_pairs`] reports.
+    ///
+    /// Returns [`Contradiction`], leaving `g` unchanged, if some pair is
+    /// reachable in *both* directions.
+    pub fn propagate(&mut self, g: &mut Wtpg) -> Result<(), Contradiction> {
+        let mut forced = Vec::new();
+        self.forced_pairs(g, &mut forced)?;
+        for (from, to) in forced {
+            g.set_precedence(from, to);
+        }
+        Ok(())
     }
 }
 
@@ -726,8 +721,8 @@ pub fn distances(g: &Wtpg) -> BTreeMap<TxnId, f64> {
 /// Propagate forced orientations (the paper's Fig. 6 rule): whenever an
 /// *undecided* conflict pair `(a, b)` is connected by a directed
 /// precedence path `a ⇝ b`, the pair's order is determined and the
-/// conflict edge is replaced by the precedence edge `a → b`. Repeats to a
-/// fixpoint (each replacement may force further pairs).
+/// conflict edge is replaced by the precedence edge `a → b`. A forced
+/// edge adds no reachability, so one pass reaches the fixpoint.
 ///
 /// Returns [`Contradiction`] if propagation discovers a pair reachable
 /// in *both* directions — i.e. the decided edges already form a cycle

@@ -1,14 +1,13 @@
 //! Randomized property tests: the GOW chain dynamic program must agree
 //! with exhaustive enumeration of full serializable orders, the path
-//! algorithms must satisfy their structural invariants, and the
-//! scratch-buffer variants of the path/E(q) routines must agree with
-//! their allocating counterparts. Inputs come from a fixed-seed
+//! algorithms must satisfy their structural invariants, the
+//! scratch-buffer path routines must agree with their allocating
+//! counterparts, and LOW's delta `E(q)` must agree with the reference. Inputs come from a fixed-seed
 //! SplitMix64 stream (the crate is dependency-free), so the suite is
 //! deterministic.
 
 use bds_wtpg::chain::{chains, is_chain_form, min_critical};
-use bds_wtpg::eq::{eval_grant, eval_grant_with, EqScratch};
-use bds_wtpg::graph::PairKey;
+use bds_wtpg::eq::{eval_grant, GrantEval};
 use bds_wtpg::oracle::min_critical_bruteforce;
 use bds_wtpg::paths::{self, critical_path, distances, has_cycle, propagate, reachable};
 use bds_wtpg::{TxnId, Wtpg};
@@ -251,61 +250,138 @@ fn chains_partition_nodes() {
     }
 }
 
-fn undecided_pairs(g: &Wtpg) -> Vec<PairKey> {
-    g.edges()
-        .filter(|(k, e)| e.decided(*k).is_none())
-        .map(|(k, _)| k)
-        .collect()
-}
-
-/// A random general (not chain-form) graph whose decided subgraph is
-/// acyclic: edges appear with probability ~1/3 and are oriented — when
-/// decided — along ascending id, i.e. along a topological order.
-fn gen_general(r: &mut Rng, decide_prob_in_4: usize) -> (Wtpg, usize) {
-    let n = 3 + r.next_index(8);
+/// A random LOW-shaped base: an acyclic decided subgraph that is not at
+/// its propagation fixpoint. Node ids are a random permutation of a
+/// topological order, so ascending-id folds do not follow it; pairs
+/// conflict with probability ~1/3 and are decided (forward in the order)
+/// with probability `decide_in_4`/4. Then one more node joins the way
+/// `WtpgCore::add_live` admits one: conflicts with a few live nodes,
+/// decided edges *into* it from some of them (the lock holders).
+///
+/// With `past_closure_bound`, 4 097 transactions are added and removed
+/// first, so the arena outgrows the closure bound and forced pairs are
+/// found with DFS probes.
+fn gen_low_base(r: &mut Rng, past_closure_bound: bool) -> Wtpg {
     let mut g = Wtpg::new();
-    for i in 0..n {
-        g.add_txn(t(i as u64), r.next_f64() * 10.0);
+    if past_closure_bound {
+        for i in 0..4_097 {
+            g.add_txn(t(10_000 + i), 0.0);
+        }
+        for i in 0..4_097 {
+            g.remove_txn(t(10_000 + i));
+        }
     }
+    let n = 3 + r.next_index(9);
+    let mut ids: Vec<u64> = (0..n as u64).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, r.next_index(i + 1));
+    }
+    for &id in &ids {
+        g.add_txn(t(id), r.next_f64() * 10.0);
+    }
+    let decide_in_4 = 1 + r.next_index(3);
     for i in 0..n {
         for j in i + 1..n {
             if r.next_index(3) == 0 {
-                let (a, b) = (t(i as u64), t(j as u64));
+                let (a, b) = (t(ids[i]), t(ids[j]));
                 g.declare_conflict(a, b, r.next_f64() * 10.0, r.next_f64() * 10.0);
-                if r.next_index(4) < decide_prob_in_4 {
+                if r.next_index(4) < decide_in_4 {
                     g.set_precedence(a, b);
                 }
             }
         }
     }
-    (g, n)
+    let joiner = t(n as u64);
+    g.add_txn(joiner, r.next_f64() * 10.0);
+    for &id in &ids {
+        if r.next_index(2) == 0 {
+            g.declare_conflict(joiner, t(id), r.next_f64() * 10.0, r.next_f64() * 10.0);
+            if r.next_index(3) == 0 {
+                g.set_precedence(t(id), joiner);
+            }
+        }
+    }
+    g
 }
 
-/// `eval_grant_with` (reused trial graph + reachability probes) must
-/// return the exact same E-value as the allocating `eval_grant` on
-/// LOW-shaped inputs: a grantee's undecided conflicts oriented away
-/// from it, on top of an acyclic decided subgraph.
+/// 0–3 orientations from one source: mostly toward its neighbours
+/// (undecided, decided either way), sometimes toward a node it has no
+/// edge with or toward a missing node.
+fn gen_orientations(r: &mut Rng, g: &Wtpg, src: TxnId) -> Vec<(TxnId, TxnId)> {
+    let nodes: Vec<TxnId> = g.txns().collect();
+    let neighbours: Vec<TxnId> = g.neighbors(src).collect();
+    (0..r.next_index(4))
+        .map(|_| {
+            let to = match r.next_index(8) {
+                0 => t(999),
+                1 => nodes[r.next_index(nodes.len())],
+                _ if neighbours.is_empty() => t(999),
+                _ => neighbours[r.next_index(neighbours.len())],
+            };
+            (src, to)
+        })
+        .filter(|&(_, to)| to != src)
+        .collect()
+}
+
+/// `GrantEval` (one prepared base, each `E` a delta over it) must return
+/// the reference `eval_grant`'s value bit for bit, for several sources
+/// per base, and its forced set must leave the graph exactly as
+/// orienting plus `propagate` does. One evaluator serves every case so
+/// stale state would show.
 #[test]
-fn eval_grant_with_matches_allocating_eval() {
-    let mut scratch = EqScratch::new();
-    for case in 0..SCRATCH_CASES {
+fn grant_eval_matches_eval_grant() {
+    let mut eval = GrantEval::new();
+    let mut forced = Vec::new();
+    let (mut finite, mut infinite, mut base_forced) = (0, 0, 0);
+    for case in 0..SCRATCH_CASES * 4 {
         let mut r = Rng::new(case, 13);
-        let (g, n) = gen_general(&mut r, 2);
-        let who = t(r.next_index(n) as u64);
-        let mut orientations: Vec<(TxnId, TxnId)> = undecided_pairs(&g)
-            .into_iter()
-            .filter(|k| k.lo == who || k.hi == who)
-            .map(|k| (who, k.other(who)))
-            .collect();
-        orientations.truncate(1 + r.next_index(3));
-        let alloc = eval_grant(&g, &orientations);
-        let reused = eval_grant_with(&mut scratch, &g, &orientations);
-        assert_eq!(
-            alloc.to_bits(),
-            reused.to_bits(),
-            "case {case}: eval_grant={alloc} eval_grant_with={reused}"
-        );
+        let g = gen_low_base(&mut r, case % 16 == 0);
+        assert!(!has_cycle(&g));
+        eval.prepare(&g);
+        let mut fixpoint = g.clone();
+        propagate(&mut fixpoint).unwrap();
+        if fixpoint != g {
+            base_forced += 1;
+        }
+        let nodes: Vec<TxnId> = g.txns().collect();
+        for _ in 0..4 {
+            let src = nodes[r.next_index(nodes.len())];
+            let orientations = gen_orientations(&mut r, &g, src);
+            let want = eval_grant(&g, &orientations);
+            let got = eval.eval(&g, &orientations);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case} {orientations:?}: GrantEval {got}, eval_grant {want}"
+            );
+            if want.is_infinite() {
+                infinite += 1;
+                continue;
+            }
+            finite += 1;
+            let mut oriented = g.clone();
+            for &(from, to) in &orientations {
+                if oriented.edge(from, to).is_some() {
+                    oriented.set_precedence(from, to);
+                }
+            }
+            let mut want_graph = oriented.clone();
+            propagate(&mut want_graph).unwrap();
+            eval.forced_into(&g, &orientations, &mut forced);
+            for &(from, to) in &forced {
+                oriented.set_precedence(from, to);
+            }
+            assert!(
+                oriented == want_graph,
+                "case {case} {orientations:?}: forced set {forced:?}"
+            );
+        }
     }
+    assert!(
+        finite > 1000 && infinite > 200 && base_forced > 100,
+        "{finite} finite, {infinite} infinite, {base_forced} bases off the fixpoint"
+    );
 }
 
 /// The reusable `paths::Scratch` traversals must agree with the free
